@@ -22,6 +22,12 @@ fi
 step "cargo test --offline --release --workspace -q"
 cargo test --offline --release --workspace -q
 
+step "perfbench unit tests (the benchmark's own package)"
+# perfbench/ is a workspace of its own that calls parse_line,
+# merge_shard_rankings and MaskedBitVec parsing; building and testing it
+# here makes an API change fail CI before it fails a benchmark run.
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 step "store round-trip + serve smoke + sharding (c17, s298)"
 cargo test --offline --release -q --test store_roundtrip --test serve_smoke \
     --test shard_manifest --test shard_equivalence

@@ -530,15 +530,19 @@ pub fn two_phase_diagnose_masked(
 ///
 /// Each entry pairs a shard's first global fault index with its *sorted*
 /// local ranking (as produced by [`match_signatures_masked_into`] or any
-/// `diagnose_masked`); local fault positions are rebased by the offset and
-/// the rankings are k-way merged on `(mismatches, global fault)` — exactly
-/// the unsharded sort key, so for shards that tile the fault list the merged
-/// order equals the global stable sort. In particular, candidates from
-/// *different* shards with equal mismatches tie-break on global fault
-/// index, whatever order the shards appear in `shards`. A shard with an
-/// empty ranking (it matched nothing — e.g. it was filtered out upstream)
-/// contributes nothing and is otherwise ignored; only *all* shards being
-/// empty is an error. `fully_known` is whether the
+/// `diagnose_masked`); local fault positions are rebased by the offset.
+/// The merge orders the shards by offset and places every candidate with a
+/// stable counting sort on `mismatches`, so within one mismatch count the
+/// candidates keep shard order and, inside a shard, local fault order. As
+/// shard ranges do not overlap, that is `(mismatches, global fault)` order
+/// — exactly the unsharded sort key, so for shards that tile the fault list
+/// the merged order equals the global stable sort. In particular,
+/// candidates from *different* shards with equal mismatches tie-break on
+/// global fault index, whatever order the shards appear in `shards`. The
+/// cost is linear in the candidates plus their largest mismatch count. A
+/// shard with an empty ranking (it matched nothing — e.g. it was
+/// filtered out upstream) contributes nothing and is otherwise ignored;
+/// only *all* shards being empty is an error. `fully_known` is whether the
 /// observation had no masked bits (a property of the observation, identical
 /// for every shard), and it re-derives the quality ladder the same way a
 /// single-dictionary diagnosis would: minimum mismatches of zero means
@@ -547,7 +551,9 @@ pub fn two_phase_diagnose_masked(
 ///
 /// # Errors
 ///
-/// Returns [`SddError::Empty`] when no shard contributed any candidate and
+/// Returns [`SddError::Empty`] when no shard contributed any candidate,
+/// [`SddError::Invalid`] when two shards' fault ranges overlap (a shard
+/// spans its offset through its highest rebased fault), and
 /// [`SddError::CountMismatch`] when shards disagree on the known-bit count
 /// (they scored different observations).
 ///
@@ -575,26 +581,36 @@ pub fn merge_shard_rankings(
     shards: &[(usize, &[ScoredCandidate])],
     fully_known: bool,
 ) -> Result<NoisyDiagnosisReport, SddError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let total: usize = shards.iter().map(|(_, r)| r.len()).sum();
-    if total == 0 {
+    let mut order: Vec<(usize, &[ScoredCandidate])> = shards
+        .iter()
+        .copied()
+        .filter(|(_, ranking)| !ranking.is_empty())
+        .collect();
+    order.sort_unstable_by_key(|&(offset, _)| offset);
+    let Some(&(_, first)) = order.first() else {
         return Err(SddError::Empty {
             context: "shard rankings",
         });
-    }
-    let known = shards
-        .iter()
-        .flat_map(|(_, r)| r.first())
-        .map(|c| c.known)
-        .max()
-        .unwrap_or(0);
-    // Seed the heap with each shard's best candidate; every pop advances
-    // one shard's cursor, so the merge is O(total · log shards).
-    let mut heap = BinaryHeap::with_capacity(shards.len());
-    for (index, &(offset, ranking)) in shards.iter().enumerate() {
-        if let Some(c) = ranking.first() {
+    };
+    let known = order.iter().map(|(_, r)| r[0].known).max().unwrap_or(0);
+    // One pass checks the shards and counts the candidates at each
+    // mismatch count.
+    let mut next: Vec<usize> = Vec::new();
+    let mut end = 0; // one past the previous shard's highest global fault
+    for &(offset, ranking) in &order {
+        debug_assert!(
+            ranking
+                .windows(2)
+                .all(|w| (w[0].mismatches, w[0].fault) < (w[1].mismatches, w[1].fault)),
+            "shard rankings must be sorted by (mismatches, fault)"
+        );
+        if offset < end {
+            return Err(SddError::invalid(format!(
+                "shard rankings overlap at global fault {offset}"
+            )));
+        }
+        let mut last = 0;
+        for c in ranking {
             if c.known != known {
                 return Err(SddError::CountMismatch {
                     context: "known bits across shard rankings",
@@ -602,36 +618,34 @@ pub fn merge_shard_rankings(
                     actual: c.known,
                 });
             }
-            heap.push(Reverse((c.mismatches, offset + c.fault, index, 0usize)));
+            if next.len() <= c.mismatches {
+                next.resize(c.mismatches + 1, 0);
+            }
+            next[c.mismatches] += 1;
+            last = last.max(c.fault);
+        }
+        end = offset + last + 1;
+    }
+    let min = next.iter().position(|&count| count > 0).unwrap_or(0);
+    // Each count becomes the first slot of its run; filling the runs in
+    // shard order keeps every run in global fault order.
+    let mut slot = 0;
+    for start in &mut next {
+        let count = *start;
+        *start = slot;
+        slot += count;
+    }
+    let mut ranking = vec![first[0]; slot];
+    for &(offset, shard) in &order {
+        for c in shard {
+            let at = &mut next[c.mismatches];
+            ranking[*at] = ScoredCandidate {
+                fault: offset + c.fault,
+                ..*c
+            };
+            *at += 1;
         }
     }
-    let mut ranking = Vec::with_capacity(total);
-    while let Some(Reverse((mismatches, fault, index, pos))) = heap.pop() {
-        let (offset, shard) = shards[index];
-        let local = shard[pos];
-        if local.known != known {
-            return Err(SddError::CountMismatch {
-                context: "known bits across shard rankings",
-                expected: known,
-                actual: local.known,
-            });
-        }
-        ranking.push(ScoredCandidate { fault, ..local });
-        debug_assert_eq!(local.mismatches, mismatches);
-        if let Some(next) = shard.get(pos + 1) {
-            debug_assert!(
-                (next.mismatches, next.fault) > (local.mismatches, local.fault),
-                "shard rankings must be sorted by (mismatches, fault)"
-            );
-            heap.push(Reverse((
-                next.mismatches,
-                offset + next.fault,
-                index,
-                pos + 1,
-            )));
-        }
-    }
-    let min = ranking[0].mismatches;
     let best = ranking
         .iter()
         .take_while(|c| c.mismatches == min)
@@ -967,5 +981,65 @@ mod tests {
             merge_shard_rankings(&[(0, &full.ranking[..]), (4, &masked.ranking[..])], false),
             Err(SddError::CountMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn merge_of_shuffled_random_tilings_equals_the_unsharded_report() {
+        let mut rng = sdd_logic::Prng::seed_from_u64(0x5EED);
+        let mut overlaps = 0;
+        for case in 0..400 {
+            // Narrow signatures give many ties, wide ones cross words.
+            let width = [1, 3, 8, 70][case % 4];
+            let faults = rng.gen_range(1..=40);
+            let signatures: Vec<BitVec> = (0..faults)
+                .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
+                .collect();
+            let mut observed = MaskedBitVec::unknown(width);
+            for bit in 0..width {
+                if rng.gen_bool(0.7) {
+                    observed.set_known(bit, rng.gen_bool(0.5));
+                }
+            }
+            let whole = match_signatures_masked(&signatures, &observed).unwrap();
+            // A random tiling into 1-6 shards; repeated cuts leave empty ones.
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..=5))
+                .map(|_| rng.gen_range(0..=faults))
+                .collect();
+            cuts.extend([0, faults]);
+            cuts.sort_unstable();
+            let rankings: Vec<(usize, Vec<ScoredCandidate>)> = cuts
+                .windows(2)
+                .map(|w| {
+                    let ranking = match_signatures_masked(&signatures[w[0]..w[1]], &observed)
+                        .map_or_else(|_| Vec::new(), |r| r.ranking);
+                    (w[0], ranking)
+                })
+                .collect();
+            let mut shards: Vec<(usize, &[ScoredCandidate])> = rankings
+                .iter()
+                .map(|(offset, ranking)| (*offset, ranking.as_slice()))
+                .collect();
+            rng.shuffle(&mut shards);
+            let merged = merge_shard_rankings(&shards, observed.is_fully_known()).unwrap();
+            assert_eq!(merged, whole, "case {case}, cuts {cuts:?}");
+            // A copy of a non-empty shard moved less than its length
+            // overlaps the original.
+            let &(offset, ranking) = shards.iter().find(|(_, r)| !r.is_empty()).unwrap();
+            let shift = rng.gen_range(0..2 * ranking.len() - 1);
+            let Some(moved) = (offset + shift).checked_sub(ranking.len() - 1) else {
+                continue;
+            };
+            let at = rng.gen_range(0..=shards.len());
+            shards.insert(at, (moved, ranking));
+            assert!(
+                matches!(
+                    merge_shard_rankings(&shards, observed.is_fully_known()),
+                    Err(SddError::Invalid { .. })
+                ),
+                "case {case}: shard at {offset} copied to {moved}"
+            );
+            overlaps += 1;
+        }
+        assert!(overlaps > 200, "{overlaps} overlap cases");
     }
 }

@@ -220,29 +220,79 @@ impl fmt::Debug for MaskedBitVec {
     }
 }
 
+/// `byte` repeated in each of the eight byte lanes of a word.
+const fn lanes(byte: u8) -> u64 {
+    u64::from_ne_bytes([byte; 8])
+}
+
+/// The high bit of each byte lane of `w` that is zero. Exact: the sum of
+/// two 7-bit lanes never carries into the next lane.
+fn zero_lanes(w: u64) -> u64 {
+    !(((w & lanes(0x7F)) + lanes(0x7F)) | w) & lanes(0x80)
+}
+
+/// Gathers the high bit of each byte lane into bit `i` for lane `i`: the
+/// multiply sends lane `i`'s bit to bit `56 + i` without any two partial
+/// products meeting there.
+fn lane_bits(high: u64) -> u8 {
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// Classifies eight characters at once, the first in lane 0, into bit
+/// masks: `1`s, known (`0` or `1`) and valid (known or `x`/`X`/`-`).
+fn classify(chunk: [u8; 8]) -> (u8, u8, u8) {
+    let w = u64::from_le_bytes(chunk);
+    let known = zero_lanes((w & lanes(0xFE)) ^ lanes(b'0'));
+    // A known character's value is its low bit, shifted up to the lane's
+    // high bit.
+    let one = known & (w << 7);
+    let unknown = zero_lanes((w | lanes(0x20)) ^ lanes(b'x')) | zero_lanes(w ^ lanes(b'-'));
+    (lane_bits(one), lane_bits(known), lane_bits(known | unknown))
+}
+
 impl FromStr for MaskedBitVec {
     type Err = SddError;
 
+    /// Parses eight characters per step into value and known words of
+    /// exactly `s.len()` bits. Every accepted character is one ASCII byte,
+    /// so the first rejected byte's offset is also its char position.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut v = MaskedBitVec::unknown(0);
-        for (position, c) in s.chars().enumerate() {
-            v.bits.push(false);
-            v.known.push(false);
-            match c {
-                '0' => v.set_known(position, false),
-                '1' => v.set_known(position, true),
-                'x' | 'X' | '-' => {}
-                offending => {
+        let len = s.len();
+        let mut values = Vec::with_capacity(len.div_ceil(64));
+        let mut known = Vec::with_capacity(len.div_ceil(64));
+        for (word, bytes) in s.as_bytes().chunks(64).enumerate() {
+            let (mut value_word, mut known_word) = (0u64, 0u64);
+            for (lane, chunk) in bytes.chunks(8).enumerate() {
+                let chunk = <[u8; 8]>::try_from(chunk).unwrap_or_else(|_| {
+                    // The short tail, padded with unknowns.
+                    let mut padded = [b'X'; 8];
+                    padded[..chunk.len()].copy_from_slice(chunk);
+                    padded
+                });
+                let (one, known_bits, valid) = classify(chunk);
+                if valid != u8::MAX {
+                    let position = word * 64 + lane * 8 + valid.trailing_ones() as usize;
+                    let offending = s
+                        .get(position..)
+                        .and_then(|rest| rest.chars().next())
+                        .unwrap_or(char::REPLACEMENT_CHARACTER);
                     return Err(SddError::Parse {
                         line: 0,
                         message: format!(
                             "invalid masked bit character {offending:?} at position {position}"
                         ),
-                    })
+                    });
                 }
+                value_word |= u64::from(one) << (8 * lane);
+                known_word |= u64::from(known_bits) << (8 * lane);
             }
+            values.push(value_word);
+            known.push(known_word);
         }
-        Ok(v)
+        Ok(Self {
+            bits: BitVec::from_words(values, len)?,
+            known: BitVec::from_words(known, len)?,
+        })
     }
 }
 
@@ -263,6 +313,33 @@ mod tests {
         let lower: MaskedBitVec = "0x1-".parse().unwrap();
         assert_eq!(lower.to_string(), "0X1X", "x and - normalize to X");
         assert!("01?".parse::<MaskedBitVec>().is_err());
+    }
+
+    #[test]
+    fn classify_agrees_with_a_byte_match_in_every_lane() {
+        for filler in [b'0', b'1', b'X', 0x00, 0x80, 0xFF] {
+            for lane in 0..8 {
+                for byte in 0..=u8::MAX {
+                    let mut chunk = [filler; 8];
+                    chunk[lane] = byte;
+                    let expected = |f: fn(u8) -> bool| {
+                        chunk
+                            .iter()
+                            .enumerate()
+                            .fold(0u8, |bits, (i, &b)| bits | u8::from(f(b)) << i)
+                    };
+                    assert_eq!(
+                        classify(chunk),
+                        (
+                            expected(|b| b == b'1'),
+                            expected(|b| matches!(b, b'0' | b'1')),
+                            expected(|b| matches!(b, b'0' | b'1' | b'x' | b'X' | b'-')),
+                        ),
+                        "{chunk:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-style tests for the logic-value layer, driven by the in-tree
 //! seeded [`Prng`] so they run with no registry access.
 
-use sdd_logic::{BitVec, MaskedBitVec, PatternBlock, Prng, V5};
+use sdd_logic::{BitVec, MaskedBitVec, PatternBlock, Prng, SddError, V5};
 
 const CASES: usize = 64;
 
@@ -202,6 +202,70 @@ fn masking_bits_never_increases_masked_distance() {
             }
         }
     }
+}
+
+/// The char-by-char masked parser: values and known mask, or the parse
+/// error message.
+fn reference_masked_parse(s: &str) -> Result<(BitVec, BitVec), String> {
+    let (mut values, mut known) = (BitVec::new(), BitVec::new());
+    for (position, c) in s.chars().enumerate() {
+        let (value, is_known) = match c {
+            '0' => (false, true),
+            '1' => (true, true),
+            'x' | 'X' | '-' => (false, false),
+            offending => {
+                return Err(format!(
+                    "invalid masked bit character {offending:?} at position {position}"
+                ))
+            }
+        };
+        values.push(value);
+        known.push(is_known);
+    }
+    Ok((values, known))
+}
+
+#[test]
+fn masked_parse_matches_a_char_by_char_reference() {
+    const GOOD: [char; 5] = ['0', '1', 'x', 'X', '-'];
+    const BAD: [char; 10] = [
+        '2', 'Q', 'Y', ' ', '/', '\0', '\x7f', '\u{b}', 'é', '\u{3000}',
+    ];
+    let mut rng = Prng::seed_from_u64(0x1C);
+    let (mut parsed, mut rejected) = (0, 0);
+    for case in 0..4000 {
+        // Lengths 0-200 cross the 8-char step and the 64-bit word.
+        let len = rng.gen_range(0..=200);
+        let bad_rate = [0.0, 0.002, 0.01, 0.1][case % 4];
+        let s: String = (0..len)
+            .map(|_| {
+                let alphabet: &[char] = if rng.gen_bool(bad_rate) { &BAD } else { &GOOD };
+                *rng.choose(alphabet).unwrap()
+            })
+            .collect();
+        match (s.parse::<MaskedBitVec>(), reference_masked_parse(&s)) {
+            (Ok(v), Ok((values, known))) => {
+                parsed += 1;
+                assert_eq!(v.len(), values.len(), "{s:?}");
+                assert_eq!(v.values(), &values, "{s:?}");
+                assert_eq!(v.known_mask(), &known, "{s:?}");
+                let display: String = s
+                    .chars()
+                    .map(|c| if c == '0' || c == '1' { c } else { 'X' })
+                    .collect();
+                assert_eq!(v.to_string(), display, "{s:?}");
+            }
+            (Err(error), Err(message)) => {
+                rejected += 1;
+                assert_eq!(error, SddError::Parse { line: 0, message }, "{s:?}");
+            }
+            (got, want) => panic!("{s:?}: parsed {got:?}, reference {want:?}"),
+        }
+    }
+    assert!(
+        parsed > 1000 && rejected > 1000,
+        "{parsed} parsed, {rejected} rejected"
+    );
 }
 
 /// All concrete (good, faulty) pairs a composite value may stand for.

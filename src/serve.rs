@@ -1974,21 +1974,24 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server, with Nagle's algorithm off so a
+    /// request goes out without waiting for the server's delayed ACK.
     ///
     /// # Errors
     ///
     /// Propagates the connect error.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
-            reader: BufReader::new(TcpStream::connect(addr)?),
+            reader: BufReader::new(stream),
         })
     }
 
+    /// Writes the request and its newline in one write.
     fn send(&mut self, request: &str) -> io::Result<()> {
         let stream = self.reader.get_mut();
-        stream.write_all(request.as_bytes())?;
-        stream.write_all(b"\n")?;
+        stream.write_all(format!("{request}\n").as_bytes())?;
         stream.flush()
     }
 
@@ -2211,6 +2214,13 @@ mod tests {
             "the entry itself survives shard eviction"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn client_disables_nagle_on_connect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.reader.get_ref().nodelay().unwrap());
     }
 
     #[test]
