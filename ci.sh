@@ -56,8 +56,11 @@ cargo run --offline --release -p sdd-bench --bin chaos -- --circuit s298 --seed 
 step "dictionary build bench (serial vs parallel, JSON)"
 # Small circuit + low patience keeps CI fast; BENCH_build.json tracks the
 # perf trajectory, and the gate fails on a missing/malformed/non-identical
-# report (speedup itself is host-dependent and not gated). The ECO patch
-# point IS gated: patch_identical must hold and patch_s must beat
+# report. Speedup is gated where threads had real cores: with
+# jobs_effective > 1, the check fails when simulate_speedup or
+# procedure1_speedup is below 0.5, and on a contended two-core runner the
+# simulate speedup can fall below it and stop CI here. The ECO patch
+# point is gated too: patch_identical must hold and patch_s must beat
 # rebuild_s — the incremental path exists to be cheaper than a rebuild.
 # --jobs 4 exercises the threaded path even on a single-core runner.
 cargo run --offline --release -p sdd-bench --bin build_bench -- \

@@ -75,7 +75,16 @@ pub struct Podem<'a> {
     fill: FillMode,
     randomize_backtrace: bool,
     value: Vec<V5>,
+    /// The input assignment `value` was last implied from.
+    implied: Vec<Option<bool>>,
+    /// Gate sinks of each net, one entry per pin.
+    fanout: Vec<Vec<NetId>>,
+    /// Gates awaiting re-evaluation, bucketed by level, and their marks.
+    pending: Vec<Vec<NetId>>,
+    queued: Vec<bool>,
     reach: Vec<bool>,
+    /// The live D-frontier of the current implication, in view order.
+    frontier: Vec<NetId>,
 }
 
 #[derive(Debug)]
@@ -89,6 +98,14 @@ impl<'a> Podem<'a> {
     /// Creates a generator with the default backtrack limit (`4096`) and
     /// zero fill.
     pub fn new(circuit: &'a Circuit, view: &'a CombView) -> Self {
+        let mut fanout = vec![Vec::new(); circuit.net_count()];
+        for &net in view.order() {
+            if let Driver::Gate { inputs, .. } = circuit.driver(net) {
+                for &source in inputs {
+                    fanout[source.index()].push(net);
+                }
+            }
+        }
         Self {
             circuit,
             view,
@@ -96,7 +113,12 @@ impl<'a> Podem<'a> {
             fill: FillMode::Zero,
             randomize_backtrace: false,
             value: vec![V5::X; circuit.net_count()],
+            implied: vec![None; view.inputs().len()],
+            fanout,
+            pending: vec![Vec::new(); view.depth() as usize + 1],
+            queued: vec![false; circuit.net_count()],
             reach: vec![false; circuit.net_count()],
+            frontier: Vec::new(),
         }
     }
 
@@ -140,8 +162,12 @@ impl<'a> Podem<'a> {
         let mut decisions: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
 
+        // With every input unassigned, every net is X: each operation table
+        // maps all-X operands to X, and forcing X leaves X.
+        self.value.fill(V5::X);
+        self.implied.fill(None);
         loop {
-            self.simulate(fault, &assignment);
+            self.imply(fault, &assignment);
             if self.detected_at_output() {
                 return CubeOutcome::Cube(TestCube(assignment));
             }
@@ -202,41 +228,92 @@ impl<'a> Podem<'a> {
         false
     }
 
-    /// Five-valued forward simulation with `fault` injected.
-    fn simulate(&mut self, fault: Fault, assignment: &[Option<bool>]) {
-        for &net in self.view.order() {
-            let mut v = match self.circuit.driver(net) {
-                Driver::Input | Driver::Dff { .. } => {
-                    let pos = self.view.input_position(net).expect("source is an input");
-                    match assignment[pos] {
-                        Some(bit) => V5::from_bool(bit),
-                        None => V5::X,
-                    }
-                }
-                Driver::Gate { kind, inputs } => {
-                    let mut acc: Option<V5> = None;
-                    for (pin, &source) in inputs.iter().enumerate() {
-                        let pv = self.pin_value(fault, net, pin, source);
-                        acc = Some(match acc {
-                            None => pv,
-                            Some(a) => apply(*kind, a, pv),
-                        });
-                    }
-                    let raw = acc.expect("gates have inputs");
-                    if kind.inverts() {
-                        raw.not()
-                    } else {
-                        raw
-                    }
-                }
-            };
-            if let FaultSite::Stem(s) = fault.site {
-                if s == net {
-                    v = force(v, fault.stuck_at);
+    /// Five-valued implication with `fault` injected. Brings `value` up to
+    /// date with `assignment` by re-evaluating only the fanout cones of the
+    /// inputs whose assignment changed since the last implication: level by
+    /// level, and past a gate only when its value changed. Every gate is
+    /// evaluated after all of its fan-ins, so the values equal a full
+    /// forward simulation in view order.
+    fn imply(&mut self, fault: Fault, assignment: &[Option<bool>]) {
+        for (pos, &bit) in assignment.iter().enumerate() {
+            if self.implied[pos] != bit {
+                self.implied[pos] = bit;
+                self.update(fault, self.view.inputs()[pos], assignment);
+            }
+        }
+        // A sink's level exceeds each of its fan-ins', so no gate is queued
+        // at or below the level being drained.
+        for level in 1..self.pending.len() {
+            let mut gates = std::mem::take(&mut self.pending[level]);
+            for &net in &gates {
+                self.queued[net.index()] = false;
+                self.update(fault, net, assignment);
+            }
+            gates.clear();
+            self.pending[level] = gates;
+        }
+    }
+
+    /// Re-evaluates `net` and queues its sinks if its value changed.
+    fn update(&mut self, fault: Fault, net: NetId, assignment: &[Option<bool>]) {
+        let v = self.evaluate(fault, net, assignment);
+        if v == self.value[net.index()] {
+            return;
+        }
+        self.value[net.index()] = v;
+        for &sink in &self.fanout[net.index()] {
+            if !self.queued[sink.index()] {
+                self.queued[sink.index()] = true;
+                self.pending[self.view.level(sink) as usize].push(sink);
+            }
+        }
+    }
+
+    /// The value of `net` under the current values of its fan-ins (or, for
+    /// an input, its assignment), with `fault` injected.
+    fn evaluate(&self, fault: Fault, net: NetId, assignment: &[Option<bool>]) -> V5 {
+        let v = match self.circuit.driver(net) {
+            Driver::Input | Driver::Dff { .. } => {
+                let pos = self.view.input_position(net).expect("source is an input");
+                match assignment[pos] {
+                    Some(bit) => V5::from_bool(bit),
+                    None => V5::X,
                 }
             }
-            self.value[net.index()] = v;
+            Driver::Gate { kind, inputs } => {
+                let raw = match kind {
+                    GateKind::And | GateKind::Nand => self.fold_pins(fault, net, inputs, V5::and),
+                    GateKind::Or | GateKind::Nor => self.fold_pins(fault, net, inputs, V5::or),
+                    GateKind::Xor | GateKind::Xnor => self.fold_pins(fault, net, inputs, V5::xor),
+                    GateKind::Not | GateKind::Buf => self.pin_value(fault, net, 0, inputs[0]),
+                };
+                if kind.inverts() {
+                    raw.not()
+                } else {
+                    raw
+                }
+            }
+        };
+        match fault.site {
+            FaultSite::Stem(s) if s == net => force(v, fault.stuck_at),
+            _ => v,
         }
+    }
+
+    /// Combines a gate's pin values left to right with `op`, ignoring the
+    /// gate's output inversion.
+    fn fold_pins(
+        &self,
+        fault: Fault,
+        gate: NetId,
+        inputs: &[NetId],
+        op: impl Fn(V5, V5) -> V5,
+    ) -> V5 {
+        let mut acc = self.pin_value(fault, gate, 0, inputs[0]);
+        for (pin, &source) in inputs.iter().enumerate().skip(1) {
+            acc = op(acc, self.pin_value(fault, gate, pin, source));
+        }
+        acc
     }
 
     /// The composite value a gate pin sees, honoring a branch fault.
@@ -269,11 +346,13 @@ impl<'a> Podem<'a> {
     }
 
     /// Can the current partial assignment still be extended to a test?
+    /// Once the fault is activated, this also leaves the live D-frontier in
+    /// `self.frontier` for [`objective`](Self::objective).
     fn feasible(&mut self, fault: Fault) -> bool {
         let site = self.site_value(fault);
         if site.is_fault_effect() {
-            self.compute_reach();
-            self.live_frontier(fault).next().is_some()
+            self.sweep_frontier(fault);
+            !self.frontier.is_empty()
         } else {
             // Not activated: feasible only while the site's good value is
             // still unknown.
@@ -281,49 +360,43 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Marks nets with X value from which an observed output is reachable
-    /// through X-valued nets (the classic X-path check).
-    fn compute_reach(&mut self) {
-        self.reach.iter_mut().for_each(|r| *r = false);
+    /// One reverse topological sweep that marks the nets with X value from
+    /// which an observed output is reachable through X-valued nets (the
+    /// classic X-path check) and collects the live D-frontier: gates whose
+    /// output is X-and-reaching and that have a fault effect on some pin.
+    /// When the sweep visits a net, every sink gate has already been
+    /// visited, so the net's reach is final and decides its membership.
+    fn sweep_frontier(&mut self, fault: Fault) {
+        self.reach.fill(false);
+        self.frontier.clear();
         for &o in self.view.outputs() {
             if self.value[o.index()] == V5::X {
                 self.reach[o.index()] = true;
             }
         }
-        // Reverse topological sweep: when a net is visited, every sink gate
-        // has already been finalized, so propagating reach from gates to
-        // their X-valued inputs is one O(E) pass.
         for &net in self.view.order().iter().rev() {
-            if self.reach[net.index()] {
-                if let Driver::Gate { inputs, .. } = self.circuit.driver(net) {
-                    for &source in inputs {
-                        if self.value[source.index()] == V5::X {
-                            self.reach[source.index()] = true;
-                        }
+            if !self.reach[net.index()] {
+                continue;
+            }
+            if let Driver::Gate { inputs, .. } = self.circuit.driver(net) {
+                let mut effect = false;
+                for (pin, &source) in inputs.iter().enumerate() {
+                    if self.value[source.index()] == V5::X {
+                        self.reach[source.index()] = true;
                     }
+                    effect |= self.pin_value(fault, net, pin, source).is_fault_effect();
+                }
+                if effect {
+                    self.frontier.push(net);
                 }
             }
         }
+        self.frontier.reverse();
     }
 
-    /// Gates whose output is X-and-reaching and that have a fault effect on
-    /// some pin: the live D-frontier.
-    fn live_frontier<'s>(&'s self, fault: Fault) -> impl Iterator<Item = NetId> + 's {
-        self.view.order().iter().copied().filter(move |&net| {
-            if !self.reach[net.index()] || self.value[net.index()] != V5::X {
-                return false;
-            }
-            match self.circuit.driver(net) {
-                Driver::Gate { inputs, .. } => inputs
-                    .iter()
-                    .enumerate()
-                    .any(|(pin, &s)| self.pin_value(fault, net, pin, s).is_fault_effect()),
-                _ => false,
-            }
-        })
-    }
-
-    /// Picks the next objective `(net, good-machine target value)`.
+    /// Picks the next objective `(net, good-machine target value)`; after
+    /// activation it draws from the frontier [`feasible`](Self::feasible)
+    /// left.
     fn objective(&mut self, fault: Fault, rng: &mut Prng) -> Option<(NetId, bool)> {
         let site = self.site_value(fault);
         if !site.is_fault_effect() {
@@ -337,27 +410,26 @@ impl<'a> Podem<'a> {
         }
         // Propagation objective: pick a live D-frontier gate, then an
         // X pin to set to the non-controlling value.
-        let frontier: Vec<NetId> = self.live_frontier(fault).collect();
-        let gate = if frontier.is_empty() {
-            return None;
-        } else if self.randomize_backtrace {
-            frontier[rng.gen_range(0..frontier.len())]
-        } else {
-            frontier[0]
+        let gate = match self.frontier.len() {
+            0 => return None,
+            len if self.randomize_backtrace => self.frontier[rng.gen_range(0..len)],
+            _ => self.frontier[0],
         };
         if let Driver::Gate { kind, inputs } = self.circuit.driver(gate) {
             let target = kind.controlling_value().map(|c| !c).unwrap_or(false);
-            let candidates: Vec<NetId> = inputs
+            let candidate =
+                |&(pin, &s): &(usize, &NetId)| self.pin_value(fault, gate, pin, s) == V5::X;
+            let nth = match inputs.iter().enumerate().filter(candidate).count() {
+                0 => return None,
+                count if self.randomize_backtrace => rng.gen_range(0..count),
+                _ => 0,
+            };
+            let (_, &pick) = inputs
                 .iter()
                 .enumerate()
-                .filter(|&(pin, &s)| self.pin_value(fault, gate, pin, s) == V5::X)
-                .map(|(_, &s)| s)
-                .collect();
-            let pick = match candidates.len() {
-                0 => return None,
-                _ if self.randomize_backtrace => candidates[rng.gen_range(0..candidates.len())],
-                _ => candidates[0],
-            };
+                .filter(candidate)
+                .nth(nth)
+                .expect("counted above");
             return Some((pick, target));
         }
         None
@@ -372,24 +444,23 @@ impl<'a> Podem<'a> {
             match self.circuit.driver(net) {
                 Driver::Gate { kind, inputs } => {
                     let pre = target ^ kind.inverts();
-                    // Prefer pins whose value is still unknown.
-                    let unknown: Vec<NetId> = inputs
+                    // Prefer pins whose value is still unknown. With none
+                    // (reconvergence artifacts), fall back to any pin to
+                    // keep the walk terminating.
+                    let unknown = |s: &NetId| !self.value[s.index()].is_assigned();
+                    let any = !inputs.iter().any(unknown);
+                    let eligible = |s: &NetId| any || unknown(s);
+                    let count = inputs.iter().filter(|s| eligible(s)).count();
+                    let nth = if self.randomize_backtrace && count > 1 {
+                        rng.gen_range(0..count)
+                    } else {
+                        0
+                    };
+                    let pick = *inputs
                         .iter()
-                        .copied()
-                        .filter(|&s| !self.value[s.index()].is_assigned())
-                        .collect();
-                    let unknown: Vec<NetId> = if unknown.is_empty() {
-                        // Degenerate (reconvergence artifacts): fall back to
-                        // any pin to keep the walk terminating.
-                        inputs.clone()
-                    } else {
-                        unknown
-                    };
-                    let pick = if self.randomize_backtrace && unknown.len() > 1 {
-                        unknown[rng.gen_range(0..unknown.len())]
-                    } else {
-                        unknown[0]
-                    };
+                        .filter(|s| eligible(s))
+                        .nth(nth)
+                        .expect("gates have inputs");
                     target = match kind {
                         GateKind::Not | GateKind::Buf => pre,
                         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
@@ -535,17 +606,6 @@ pub fn merge_cubes(cubes: &[TestCube]) -> Vec<BitVec> {
         }
     }
     merged.iter().map(TestCube::fill_zero).collect()
-}
-
-/// Applies the two-input composite-value operation of a gate kind, ignoring
-/// its output inversion (applied once at the end).
-fn apply(kind: GateKind, a: V5, b: V5) -> V5 {
-    match kind {
-        GateKind::And | GateKind::Nand => a.and(b),
-        GateKind::Or | GateKind::Nor => a.or(b),
-        GateKind::Xor | GateKind::Xnor => a.xor(b),
-        GateKind::Not | GateKind::Buf => a,
-    }
 }
 
 /// Forces the faulty-machine component of `wire` to `stuck_at`.

@@ -279,30 +279,48 @@ mod tests {
 
     #[test]
     fn sat_and_podem_agree_on_testability() {
-        // On generated circuits, compare the complete SAT verdicts with
-        // PODEM under a generous backtrack budget.
-        let c = generator::iscas89("s298", 5).unwrap();
-        let view = CombView::new(&c);
-        let universe = FaultUniverse::enumerate(&c);
-        let collapsed = universe.collapse_on(&c);
-        let mut podem = Podem::new(&c, &view).with_backtrack_limit(50_000);
-        let mut rng = sdd_logic::Prng::seed_from_u64(4);
-        for &id in collapsed.representatives() {
-            let fault = universe.fault(id);
-            let sat = generate_sat(&c, &view, fault);
-            let podem_outcome = podem.generate(fault, &mut rng);
-            match (&sat, &podem_outcome) {
-                (SatOutcome::Test(t), PodemOutcome::Test(t2)) => {
-                    verify(&c, &view, fault, t);
-                    verify(&c, &view, fault, t2);
+        // On seeded generated circuits of several profiles, compare the
+        // complete SAT verdicts with PODEM under a generous backtrack
+        // budget, and the bounded solver with the unbounded one. Every
+        // test either engine returns must detect its fault.
+        for (name, seed) in [("s208", 1), ("s208", 7), ("s298", 5), ("s386", 2)] {
+            let c = generator::iscas89(name, seed).unwrap();
+            let view = CombView::new(&c);
+            let universe = FaultUniverse::enumerate(&c);
+            let collapsed = universe.collapse_on(&c);
+            let mut podem = Podem::new(&c, &view).with_backtrack_limit(50_000);
+            let mut rng = sdd_logic::Prng::seed_from_u64(seed);
+            let mut settled_within_budget = 0;
+            for &id in collapsed.representatives() {
+                let fault = universe.fault(id);
+                let sat = generate_sat(&c, &view, fault);
+                // A budget cut only ends the same deterministic search
+                // early, so a verdict reached within it is the same one.
+                if let Some(bounded) = generate_sat_bounded(&c, &view, fault, Some(4)) {
+                    assert_eq!(bounded, sat, "{name}/{seed}: {}", fault.describe(&c));
+                    settled_within_budget += 1;
                 }
-                (SatOutcome::Untestable, PodemOutcome::Untestable) => {}
-                (SatOutcome::Test(t), PodemOutcome::Aborted) => {
-                    // SAT out-muscled PODEM; still a valid test.
-                    verify(&c, &view, fault, t);
+                let podem_outcome = podem.generate(fault, &mut rng);
+                match (&sat, &podem_outcome) {
+                    (SatOutcome::Test(t), PodemOutcome::Test(t2)) => {
+                        verify(&c, &view, fault, t);
+                        verify(&c, &view, fault, t2);
+                    }
+                    (SatOutcome::Untestable, PodemOutcome::Untestable) => {}
+                    (SatOutcome::Test(t), PodemOutcome::Aborted) => {
+                        // SAT out-muscled PODEM; still a valid test.
+                        verify(&c, &view, fault, t);
+                    }
+                    (sat, podem) => panic!(
+                        "{name}/{seed} {}: SAT {sat:?} vs PODEM {podem:?}",
+                        fault.describe(&c)
+                    ),
                 }
-                (sat, podem) => panic!("{}: SAT {sat:?} vs PODEM {podem:?}", fault.describe(&c)),
             }
+            assert!(
+                settled_within_budget > 0,
+                "{name}/{seed}: the small budget should settle some faults"
+            );
         }
     }
 

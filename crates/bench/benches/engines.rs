@@ -9,13 +9,15 @@
 //!
 //! The harness is dependency-free (`harness = false`): each scenario is
 //! timed with [`std::time::Instant`] over a fixed number of iterations and
-//! reported as mean wall-clock time per iteration.
+//! reported as mean wall-clock time per iteration. A trailing argument
+//! runs only the groups whose name contains it, e.g.
+//! `cargo bench -p sdd-bench --bench engines -- hard_faults`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use same_different::Experiment;
-use sdd_atpg::{random_patterns, AtpgOptions, Podem};
+use sdd_atpg::{random_patterns, AtpgOptions, Podem, PodemOutcome};
 use sdd_core::{
     replace_baselines_pass, select_baselines_once, PassFailDictionary, SameDifferentDictionary,
 };
@@ -203,6 +205,39 @@ fn bench_alternative_engines() {
     });
 }
 
+fn bench_hard_faults() {
+    // The faults PODEM abandons at its default 4,096-backtrack limit on the
+    // s953 profile, then the bounded SAT fallback at the 32,768-backtrack
+    // budget test-set generation gives it: the path where ATPG spends most
+    // of its time.
+    let exp = Experiment::iscas89("s953", 1).expect("known circuit");
+    let (circuit, view) = (exp.circuit(), exp.view());
+    let podem_aborts = |faults: &[sdd_fault::Fault]| {
+        let mut podem = Podem::new(circuit, view);
+        let mut rng = Prng::seed_from_u64(5);
+        faults
+            .iter()
+            .copied()
+            .filter(|&fault| podem.generate(fault, &mut rng) == PodemOutcome::Aborted)
+            .collect::<Vec<_>>()
+    };
+    let all: Vec<_> = exp
+        .faults()
+        .iter()
+        .map(|&id| exp.universe().fault(id))
+        .collect();
+    let hard = podem_aborts(&all);
+    println!("hard faults (s953): {} of {}", hard.len(), all.len());
+    bench("podem_hard_faults_s953", 3, || podem_aborts(&hard).len());
+    bench("sat_bounded_hard_faults_s953", 3, || {
+        hard.iter()
+            .filter(|&&fault| {
+                sdd_atpg::sat::generate_sat_bounded(circuit, view, fault, Some(32_768)).is_none()
+            })
+            .count()
+    });
+}
+
 fn bench_response_matrix_simulate() {
     // The cost of the whole Table 6 inner loop on one mid-size circuit.
     let (exp, tests) = fixture("s953");
@@ -214,11 +249,22 @@ fn bench_response_matrix_simulate() {
 }
 
 fn main() {
-    bench_fault_simulation();
-    bench_baseline_selection();
-    bench_dictionaries();
-    bench_partition();
-    bench_atpg();
-    bench_alternative_engines();
-    bench_response_matrix_simulate();
+    let groups: [(&str, fn()); 8] = [
+        ("fault_simulation", bench_fault_simulation),
+        ("baseline_selection", bench_baseline_selection),
+        ("dictionaries", bench_dictionaries),
+        ("partition", bench_partition),
+        ("atpg", bench_atpg),
+        ("alternative_engines", bench_alternative_engines),
+        ("hard_faults", bench_hard_faults),
+        ("response_matrix_simulate", bench_response_matrix_simulate),
+    ];
+    // `cargo bench` passes flags such as `--bench`; the first other
+    // argument, if any, filters groups by name.
+    let filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
+    for (name, group) in groups {
+        if filter.as_deref().is_none_or(|f| name.contains(f)) {
+            group();
+        }
+    }
 }

@@ -9,8 +9,8 @@
 //! * `cargo run -p sdd-bench --release --bin table6 [-- --circuit s953 --ttype 10det]`
 //! * `cargo run -p sdd-bench --release --bin ablations`
 //!
-//! Criterion micro-benchmarks for the underlying engines live in
-//! `benches/`.
+//! Micro-benchmarks for the underlying engines live in `benches/engines.rs`,
+//! on a dependency-free harness: `cargo bench -p sdd-bench --bench engines`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

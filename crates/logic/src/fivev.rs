@@ -103,49 +103,56 @@ impl V5 {
     /// with `X` when either side of the pair is unknown and the other is
     /// not the controlling `0`.
     pub fn and(self, rhs: Self) -> Self {
-        Self::lift2(self, rhs, |a, b| a && b, false)
+        AND[self as usize][rhs as usize]
     }
 
     /// Five-valued OR (controlling value `1`).
     pub fn or(self, rhs: Self) -> Self {
-        Self::lift2(self, rhs, |a, b| a || b, true)
+        OR[self as usize][rhs as usize]
     }
 
     /// Five-valued XOR. Any `X` operand yields `X` (XOR has no controlling
     /// value).
     pub fn xor(self, rhs: Self) -> Self {
-        match (self.good(), self.faulty(), rhs.good(), rhs.faulty()) {
-            (Some(g1), Some(f1), Some(g2), Some(f2)) => Self::from_pair(g1 ^ g2, f1 ^ f2),
-            _ => V5::X,
-        }
-    }
-
-    /// Applies a monotone two-input function with controlling output value
-    /// `ctrl_out` (the value produced whenever a controlling input is
-    /// present) to both machines independently.
-    fn lift2(a: Self, b: Self, f: fn(bool, bool) -> bool, controlling: bool) -> Self {
-        let good = Self::lift_one(a.good(), b.good(), f, controlling);
-        let faulty = Self::lift_one(a.faulty(), b.faulty(), f, controlling);
-        match (good, faulty) {
-            (Some(g), Some(fy)) => Self::from_pair(g, fy),
-            _ => V5::X,
-        }
-    }
-
-    fn lift_one(
-        a: Option<bool>,
-        b: Option<bool>,
-        f: fn(bool, bool) -> bool,
-        controlling: bool,
-    ) -> Option<bool> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(f(x, y)),
-            // One side unknown: result known only if the other side controls.
-            (Some(x), None) | (None, Some(x)) if x == controlling => Some(f(x, x)),
-            _ => None,
-        }
+        XOR[self as usize][rhs as usize]
     }
 }
+
+// Operation tables indexed by the operands' discriminants, in declaration
+// order: `Zero`, `One`, `X`, `D`, `Db`. The exhaustive test below checks
+// every entry against the pair semantics.
+const AND: [[V5; 5]; 5] = {
+    use V5::{Db, One, Zero, D, X};
+    [
+        [Zero, Zero, Zero, Zero, Zero],
+        [Zero, One, X, D, Db],
+        [Zero, X, X, X, X],
+        [Zero, D, X, D, Zero],
+        [Zero, Db, X, Zero, Db],
+    ]
+};
+
+const OR: [[V5; 5]; 5] = {
+    use V5::{Db, One, Zero, D, X};
+    [
+        [Zero, One, X, D, Db],
+        [One, One, One, One, One],
+        [X, One, X, X, X],
+        [D, One, X, D, One],
+        [Db, One, X, One, Db],
+    ]
+};
+
+const XOR: [[V5; 5]; 5] = {
+    use V5::{Db, One, Zero, D, X};
+    [
+        [Zero, One, X, D, Db],
+        [One, Zero, X, Db, D],
+        [X, X, X, X, X],
+        [D, Db, X, Zero, One],
+        [Db, D, X, One, Zero],
+    ]
+};
 
 impl std::ops::Not for V5 {
     type Output = V5;
@@ -196,20 +203,21 @@ mod tests {
     }
 
     #[test]
-    fn and_or_agree_with_pair_semantics() {
-        // Exhaustive check against the defining pair semantics: each machine
-        // component is computed independently; the five-valued result can
-        // only encode the pair when BOTH components are determined,
-        // otherwise it must be X.
+    fn operation_tables_agree_with_pair_semantics() {
+        // Exhaustive check of all 25 entries of each table against the
+        // defining pair semantics: each machine component is computed
+        // independently; the five-valued result can only encode the pair
+        // when BOTH components are determined, otherwise it must be X.
         for a in ALL {
             for b in ALL {
-                check_pair(a, b, a.and(b), |x, y| x && y, false);
-                check_pair(a, b, a.or(b), |x, y| x || y, true);
+                check_pair(a, b, a.and(b), |x, y| x && y, Some(false));
+                check_pair(a, b, a.or(b), |x, y| x || y, Some(true));
+                check_pair(a, b, a.xor(b), |x, y| x ^ y, None);
             }
         }
     }
 
-    fn check_pair(a: V5, b: V5, out: V5, f: fn(bool, bool) -> bool, controlling: bool) {
+    fn check_pair(a: V5, b: V5, out: V5, f: fn(bool, bool) -> bool, controlling: Option<bool>) {
         let good = component(a.good(), b.good(), f, controlling);
         let faulty = component(a.faulty(), b.faulty(), f, controlling);
         let expected = match (good, faulty) {
@@ -219,15 +227,17 @@ mod tests {
         assert_eq!(out, expected, "{a} op {b}");
     }
 
+    /// One machine's component of a two-input operation: known when both
+    /// operands are, or when the known one is the controlling value.
     fn component(
         a: Option<bool>,
         b: Option<bool>,
         f: fn(bool, bool) -> bool,
-        controlling: bool,
+        controlling: Option<bool>,
     ) -> Option<bool> {
         match (a, b) {
             (Some(x), Some(y)) => Some(f(x, y)),
-            (Some(x), None) | (None, Some(x)) if x == controlling => Some(f(x, x)),
+            (Some(x), None) | (None, Some(x)) if Some(x) == controlling => Some(f(x, x)),
             _ => None,
         }
     }

@@ -121,12 +121,20 @@ pub enum Outcome {
     Unsat,
 }
 
+/// A clause watching a literal, with another of its literals: while that
+/// blocker is true the clause is satisfied and need not be visited.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: Lit,
+}
+
 /// A DPLL solver over one formula.
 #[derive(Debug)]
 pub struct Solver {
     clauses: Vec<Vec<Lit>>,
     /// For each literal code, the clauses watching it.
-    watches: Vec<Vec<u32>>,
+    watches: Vec<Vec<Watch>>,
     /// Assignment: `None` unassigned.
     assignment: Vec<Option<bool>>,
     /// Assignment trail; `decisions` marks decision levels (trail indices).
@@ -136,6 +144,12 @@ pub struct Solver {
     /// Variables in descending static occurrence order — a cheap branching
     /// heuristic that keeps circuit-miter instances tractable.
     branch_order: Vec<Var>,
+    /// Each variable's index in `branch_order`.
+    branch_position: Vec<u32>,
+    /// Every variable in `branch_order` before this index is assigned, so
+    /// the next branch is found by scanning from here; unassigning a
+    /// variable rewinds it to that variable's position.
+    branch_cursor: usize,
 }
 
 impl Solver {
@@ -150,6 +164,10 @@ impl Solver {
         }
         let mut branch_order: Vec<Var> = (0..variables as u32).map(Var).collect();
         branch_order.sort_by_key(|v| std::cmp::Reverse(occurrences[v.index()]));
+        let mut branch_position = vec![0u32; variables];
+        for (position, var) in branch_order.iter().enumerate() {
+            branch_position[var.index()] = position as u32;
+        }
         let mut solver = Self {
             clauses: cnf.clauses,
             watches: vec![Vec::new(); variables * 2],
@@ -158,17 +176,29 @@ impl Solver {
             decisions: Vec::new(),
             queue_head: 0,
             branch_order,
+            branch_position,
+            branch_cursor: 0,
         };
         for (index, clause) in solver.clauses.iter().enumerate() {
-            match clause.len() {
-                0 => {}
-                1 => {
+            let clause_index = index as u32;
+            match clause[..] {
+                [] => {}
+                [only] => {
                     // Watched during solve via the unit queue.
-                    solver.watches[clause[0].code()].push(index as u32);
+                    solver.watches[only.code()].push(Watch {
+                        clause: clause_index,
+                        blocker: only,
+                    });
                 }
-                _ => {
-                    solver.watches[clause[0].code()].push(index as u32);
-                    solver.watches[clause[1].code()].push(index as u32);
+                [first, second, ..] => {
+                    solver.watches[first.code()].push(Watch {
+                        clause: clause_index,
+                        blocker: second,
+                    });
+                    solver.watches[second.code()].push(Watch {
+                        clause: clause_index,
+                        blocker: first,
+                    });
                 }
             }
         }
@@ -254,19 +284,25 @@ impl Solver {
             self.queue_head += 1;
             let falsified = lit.complement();
             // Clauses watching the falsified literal must find a new watch,
-            // become unit, or conflict.
+            // become unit, or conflict. The list is compacted in place:
+            // watchers that stay are moved down to `kept`, in order, and a
+            // replacement watch never lands on this list (the replacement is
+            // not false, the falsified literal is).
             let mut watchers = std::mem::take(&mut self.watches[falsified.code()]);
-            let mut keep = Vec::with_capacity(watchers.len());
+            let mut kept = 0;
             let mut conflict = false;
-            for &clause_index in &watchers {
-                if conflict {
-                    keep.push(clause_index);
+            for next in 0..watchers.len() {
+                let watch = watchers[next];
+                if conflict || self.value(watch.blocker) == Some(true) {
+                    watchers[kept] = watch;
+                    kept += 1;
                     continue;
                 }
-                let clause = &mut self.clauses[clause_index as usize];
+                let clause = &mut self.clauses[watch.clause as usize];
                 if clause.len() == 1 {
                     // Unit clause watching its only literal.
-                    keep.push(clause_index);
+                    watchers[kept] = watch;
+                    kept += 1;
                     if self.assignment[falsified.var().index()].map(|v| v ^ clause[0].is_negative())
                         == Some(false)
                         && clause[0].var() == falsified.var()
@@ -282,10 +318,15 @@ impl Solver {
                 debug_assert_eq!(clause[1], falsified);
                 // If the other watch is already true, the clause is happy.
                 let first = clause[0];
+                let watch = Watch {
+                    clause: watch.clause,
+                    blocker: first,
+                };
                 if self.assignment[first.var().index()].map(|v| v ^ first.is_negative())
                     == Some(true)
                 {
-                    keep.push(clause_index);
+                    watchers[kept] = watch;
+                    kept += 1;
                     continue;
                 }
                 // Find a replacement watch.
@@ -296,7 +337,7 @@ impl Solver {
                         .map(|v| v ^ candidate.is_negative());
                     if value != Some(false) {
                         clause.swap(1, pos);
-                        self.watches[candidate.code()].push(clause_index);
+                        self.watches[candidate.code()].push(watch);
                         replaced = true;
                         break;
                     }
@@ -305,14 +346,14 @@ impl Solver {
                     continue;
                 }
                 // No replacement: clause is unit (first) or conflicting.
-                keep.push(clause_index);
+                watchers[kept] = watch;
+                kept += 1;
                 if !self.enqueue(first) {
                     conflict = true;
                 }
             }
-            watchers.clear();
-            self.watches[falsified.code()].append(&mut keep);
-            drop(watchers);
+            watchers.truncate(kept);
+            self.watches[falsified.code()] = watchers;
             if conflict {
                 return false;
             }
@@ -321,11 +362,24 @@ impl Solver {
     }
 
     /// Most-occurring unassigned variable, if any.
-    fn pick_branch(&self) -> Option<Var> {
-        self.branch_order
-            .iter()
-            .copied()
-            .find(|v| self.assignment[v.index()].is_none())
+    fn pick_branch(&mut self) -> Option<Var> {
+        while let Some(&var) = self.branch_order.get(self.branch_cursor) {
+            if self.assignment[var.index()].is_none() {
+                return Some(var);
+            }
+            self.branch_cursor += 1;
+        }
+        None
+    }
+
+    /// Unassigns every trail literal from index `level` on.
+    fn undo_to(&mut self, level: usize) {
+        for lit in self.trail.drain(level..) {
+            let var = lit.var().index();
+            self.assignment[var] = None;
+            self.branch_cursor = self.branch_cursor.min(self.branch_position[var] as usize);
+        }
+        self.queue_head = self.trail.len();
     }
 
     /// Undoes to the last decision taken positively and retries it
@@ -333,10 +387,7 @@ impl Solver {
     fn backtrack(&mut self) -> bool {
         while let Some(level) = self.decisions.pop() {
             let decided = self.trail[level];
-            for lit in self.trail.drain(level..) {
-                self.assignment[lit.var().index()] = None;
-            }
-            self.queue_head = self.trail.len();
+            self.undo_to(level);
             if !decided.is_negative() {
                 // Try the complementary phase as a pseudo-decision that we
                 // will not flip again (mark by negative phase).
@@ -346,10 +397,7 @@ impl Solver {
                 }
                 // Immediate conflict: keep unwinding.
                 let level = self.decisions.pop().expect("just pushed");
-                for lit in self.trail.drain(level..) {
-                    self.assignment[lit.var().index()] = None;
-                }
-                self.queue_head = self.trail.len();
+                self.undo_to(level);
             }
         }
         false
