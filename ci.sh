@@ -2,7 +2,7 @@
 # Offline CI gate for the workspace. No network access required: the
 # workspace has no third-party dependencies.
 #
-#   ./ci.sh          full gate: build, test, fmt, clippy
+#   ./ci.sh          full gate: build, test, fmt, doc, clippy
 #   ./ci.sh quick    build + root-package tests only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -89,6 +89,11 @@ if ! cargo fmt --version >/dev/null 2>&1; then
 else
     cargo fmt --all --check
 fi
+
+step "cargo doc -D warnings"
+# Broken or ambiguous intra-doc links, and public docs linking private
+# items, fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 step "cargo clippy -D warnings"
 if ! cargo clippy --version >/dev/null 2>&1; then

@@ -3,12 +3,18 @@
 //! A test for fault `f` exists iff the *miter* formula is satisfiable:
 //! encode the fault-free circuit and the faulty circuit (which differs only
 //! in the fan-out cone of the fault site) over shared inputs, and require
-//! some observed output to differ. This module Tseitin-encodes the miter
-//! and asks the [`sdd_sat`] DPLL solver — a complete decision procedure, so
-//! `Untestable` here is a redundancy *proof* with no backtrack-limit
-//! caveat, and an independent oracle for [`Podem`](crate::Podem).
-
-use std::collections::HashMap;
+//! some observed output to differ. This module Tseitin-encodes the miter,
+//! adds Larrabee's path-sensitization clauses, and asks the [`sdd_sat`]
+//! CDCL solver — a complete decision procedure, so `Untestable` here is a
+//! redundancy *proof*, and an independent oracle for
+//! [`Podem`](crate::Podem).
+//!
+//! The path clauses state what every test has: a path of differing nets
+//! from the fault's origin to an output. They add no constraint a test
+//! could violate, but they let the solver learn early that a difference
+//! with no such path is useless, which is what settles the faults PODEM
+//! abandons. Without them the same solver takes longer on those faults
+//! than PODEM's whole budget.
 
 use sdd_fault::{Fault, FaultSite};
 use sdd_logic::BitVec;
@@ -54,14 +60,16 @@ pub fn generate_sat(circuit: &Circuit, view: &CombView, fault: Fault) -> SatOutc
     generate_sat_bounded(circuit, view, fault, None).expect("unbounded SAT always decides")
 }
 
-/// Like [`generate_sat`], but gives up after `max_backtracks` solver
-/// backtracks (when `Some`), returning `None` — useful as a bounded
-/// fallback inside larger flows where a hard miter must not stall ATPG.
+/// Like [`generate_sat`], but gives up after `max_conflicts` solver
+/// conflicts (when `Some`), returning `None` — useful as a bounded fallback
+/// inside larger flows where a hard miter must not stall ATPG. The search
+/// does not depend on the budget, so a verdict reached within it is
+/// [`generate_sat`]'s.
 pub fn generate_sat_bounded(
     circuit: &Circuit,
     view: &CombView,
     fault: Fault,
-    max_backtracks: Option<usize>,
+    max_conflicts: Option<usize>,
 ) -> Option<SatOutcome> {
     // The fan-out cone of the fault's effect origin: the only nets whose
     // faulty-machine value can differ.
@@ -81,25 +89,34 @@ pub fn generate_sat_bounded(
             }
         }
     }
-    let observed: Vec<usize> = view
-        .outputs()
+    let cone: Vec<NetId> = view
+        .order()
         .iter()
-        .enumerate()
-        .filter(|&(_, &o)| in_cone[o.index()])
-        .map(|(pos, _)| pos)
+        .copied()
+        .filter(|net| in_cone[net.index()])
         .collect();
-    if observed.is_empty() {
+    let mut observed = vec![false; circuit.net_count()];
+    for &o in view.outputs() {
+        observed[o.index()] = true;
+    }
+    if !cone.iter().any(|net| observed[net.index()]) {
         return Some(SatOutcome::Untestable); // no observation point in the cone
     }
 
+    // Variables, each block in net-index order: the good value of every
+    // net, then the faulty value, the difference and the path activity of
+    // cone nets.
     let mut cnf = Cnf::new();
     let good: Vec<Var> = (0..circuit.net_count()).map(|_| cnf.fresh()).collect();
-    let mut faulty: HashMap<NetId, Var> = HashMap::new();
-    for net in circuit.nets() {
-        if in_cone[net.index()] {
-            faulty.insert(net, cnf.fresh());
-        }
-    }
+    let cone_var = |cnf: &mut Cnf| -> Vec<Option<Var>> {
+        in_cone
+            .iter()
+            .map(|&inside| inside.then(|| cnf.fresh()))
+            .collect()
+    };
+    let faulty = cone_var(&mut cnf);
+    let differs = cone_var(&mut cnf);
+    let active = cone_var(&mut cnf);
 
     // Good machine constraints for every gate.
     for &net in view.order() {
@@ -110,13 +127,8 @@ pub fn generate_sat_bounded(
     }
 
     // Faulty machine constraints for cone gates.
-    let faulty_pin =
-        |faulty: &HashMap<NetId, Var>, s: NetId| faulty.get(&s).copied().unwrap_or(good[s.index()]);
-    for &net in view.order() {
-        if !in_cone[net.index()] {
-            continue;
-        }
-        let out = faulty[&net];
+    for &net in &cone {
+        let out = faulty[net.index()].expect("cone net");
         match fault.site {
             FaultSite::Stem(s) if s == net => {
                 // Stuck line: constant in the faulty machine.
@@ -126,7 +138,10 @@ pub fn generate_sat_bounded(
             _ => {}
         }
         if let Driver::Gate { kind, inputs } = circuit.driver(net) {
-            let mut pins: Vec<Var> = inputs.iter().map(|&s| faulty_pin(&faulty, s)).collect();
+            let mut pins: Vec<Var> = inputs
+                .iter()
+                .map(|&s| faulty[s.index()].unwrap_or(good[s.index()]))
+                .collect();
             if let FaultSite::Branch { gate, pin } = fault.site {
                 if gate == net {
                     // The stuck pin reads a constant: model with a frozen
@@ -140,20 +155,49 @@ pub fn generate_sat_bounded(
         }
     }
 
-    // Miter: at least one observed output differs.
-    let mut differs = Vec::new();
-    for &pos in &observed {
-        let o = view.outputs()[pos];
-        let g = good[o.index()];
-        let f = faulty[&o];
-        let d = cnf.fresh();
-        encode_xor2(&mut cnf, d, g, f);
-        differs.push(d.positive());
+    // Path sensitization: `a → d` on every cone net, and an unobserved
+    // active net activates one of its fanouts. `a` is not `d`: a differing
+    // net need not propagate (its effect can die at a reconvergent gate
+    // while another path carries the fault), so "every difference reaches
+    // a fanout" would prove testable faults redundant.
+    let mut fanouts: Vec<Vec<Lit>> = vec![Vec::new(); circuit.net_count()];
+    for &net in &cone {
+        if let Driver::Gate { inputs, .. } = circuit.driver(net) {
+            let reader = active[net.index()].expect("cone net").positive();
+            for &s in inputs {
+                if in_cone[s.index()] {
+                    fanouts[s.index()].push(reader);
+                }
+            }
+        }
     }
-    cnf.clause(differs);
+    for &net in &cone {
+        let d = differs[net.index()].expect("cone net");
+        let a = active[net.index()].expect("cone net");
+        encode_xor2(
+            &mut cnf,
+            d,
+            good[net.index()],
+            faulty[net.index()].expect("cone net"),
+        );
+        cnf.clause([a.negative(), d.positive()]);
+        if !observed[net.index()] {
+            let onward = std::mem::take(&mut fanouts[net.index()]);
+            cnf.clause(std::iter::once(a.negative()).chain(onward));
+        }
+    }
+    cnf.clause([active[origin.index()].expect("origin").positive()]);
+
+    // Miter: at least one observed output differs.
+    cnf.clause(
+        view.outputs()
+            .iter()
+            .filter_map(|o| differs[o.index()])
+            .map(Var::positive),
+    );
 
     let solver = Solver::new(cnf);
-    let outcome = match max_backtracks {
+    let outcome = match max_conflicts {
         Some(limit) => solver.solve_with_budget(limit)?,
         None => solver.solve(),
     };
@@ -259,6 +303,64 @@ mod tests {
                 SatOutcome::Untestable => panic!("{} is testable", fault.describe(&c)),
             }
         }
+    }
+
+    /// Whether some input pattern detects `fault`, by reference simulation
+    /// of every pattern.
+    fn exhaustively_testable(circuit: &Circuit, view: &CombView, fault: Fault) -> bool {
+        let width = view.inputs().len();
+        (0u32..1 << width).any(|bits| {
+            let pattern: BitVec = (0..width).map(|i| bits >> i & 1 == 1).collect();
+            reference::good_response(circuit, view, &pattern)
+                != reference::faulty_response(circuit, view, fault, &pattern)
+        })
+    }
+
+    /// Input `a` drives an observed buffer and a self-masking
+    /// `g = AND(a, NOT a)`, also observed. Stem `a` stuck-at-0 is seen at
+    /// the buffer while its effect on `n` always dies at `g`: a path
+    /// constraint that makes every differing net propagate proves it
+    /// redundant.
+    fn masked_reconvergence() -> Circuit {
+        let mut b = CircuitBuilder::new("masked");
+        let a = b.input("a");
+        let n = b.gate("n", GateKind::Not, vec![a]);
+        let g = b.gate("g", GateKind::And, vec![a, n]);
+        let y = b.gate("y", GateKind::Buf, vec![a]);
+        b.output(y);
+        b.output(g);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn verdicts_agree_with_exhaustive_simulation() {
+        // Seeded random circuits small enough to enumerate (8 view inputs),
+        // with reconvergence and redundant faults.
+        let small = generator::Profile {
+            name: "small",
+            inputs: 5,
+            outputs: 2,
+            dffs: 3,
+            gates: 40,
+        };
+        let mut circuits = vec![c17(), demo_seq(), masked_reconvergence()];
+        circuits.extend((1..=4).map(|seed| generator::generate(&small, seed)));
+        let mut redundant = 0;
+        for c in &circuits {
+            let view = CombView::new(c);
+            let universe = FaultUniverse::enumerate(c);
+            for (_, fault) in universe.iter() {
+                let testable = exhaustively_testable(c, &view, fault);
+                match generate_sat(c, &view, fault) {
+                    SatOutcome::Test(test) => verify(c, &view, fault, &test),
+                    SatOutcome::Untestable => {
+                        assert!(!testable, "{}: {} is testable", c.name(), fault.describe(c));
+                        redundant += 1;
+                    }
+                }
+            }
+        }
+        assert!(redundant > 0, "the circuits hold redundant faults");
     }
 
     #[test]

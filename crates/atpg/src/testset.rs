@@ -52,9 +52,10 @@ impl Default for AtpgOptions {
 pub struct GeneratedTestSet {
     /// The tests, one [`BitVec`] per view input vector.
     pub tests: Vec<BitVec>,
-    /// Faults proven untestable (redundant) by PODEM.
+    /// Faults proven untestable (redundant) by PODEM or the SAT fallback.
     pub untestable: Vec<FaultId>,
-    /// Faults abandoned at the backtrack limit with no test found.
+    /// Faults abandoned with no test found: PODEM reached its backtrack
+    /// limit and the SAT fallback is off or exhausted its conflict budget.
     pub aborted: Vec<FaultId>,
 }
 
@@ -185,9 +186,9 @@ pub fn generate_detection(
             Some(false) => untestable.push(fault_id),
             Some(true) if produced == 0 && deficit[pos] == n => {
                 // PODEM ran out of budget with nothing to show. The SAT
-                // engine usually settles the fault outright; it runs with
-                // its own (generous) budget so a pathological miter cannot
-                // stall the whole flow.
+                // engine usually settles the fault in milliseconds; it runs
+                // with its own (generous) conflict budget so a pathological
+                // miter cannot stall the whole flow.
                 let settled = options.sat_fallback.then(|| {
                     crate::sat::generate_sat_bounded(
                         circuit,

@@ -3,17 +3,24 @@
 //! generated circuits.
 //!
 //! PODEM's decisions, its random draws and its backtrack counts, and the
-//! DPLL solver's branching order, are all part of the result: a change to
-//! either engine that alters any of them changes a test set, and with it
-//! every dictionary built downstream. Optimizations must keep these
-//! digests. A deliberate change of search behaviour updates them here, in
-//! the same commit, with the reason.
+//! CDCL solver's search (its branching, learned clauses and restarts), are
+//! all part of the result: a change to either engine that alters any of
+//! them changes a test set, and with it every dictionary built downstream.
+//! Optimizations must keep these digests. A deliberate change of search
+//! behaviour updates them here, in the same commit, with the reason.
 //!
 //! `backtrack_limit: 2` sends most hard faults from PODEM to the bounded
-//! SAT fallback; on the s344 profile it then returns all three of its
-//! outcomes (a test, an untestability proof, budget exhaustion). The s953
-//! case keeps the default limit, where eight faults per set abort
-//! naturally after both engines give up.
+//! SAT fallback. At a budget of 2 conflicts the solver returns all three
+//! of its outcomes (a test, an untestability proof, budget exhaustion) on
+//! both profiles. The s953 case keeps the default limits, where PODEM
+//! abandons eight faults per set and the fallback settles all of them.
+//!
+//! The SAT-dependent pins were re-recorded when the DPLL fallback gave way
+//! to the CDCL solver with path-sensitization clauses; the PODEM-only pins
+//! (`s298_default_options`, `podem_outcome_of_every_collapsed_fault`)
+//! never reach SAT and kept their values. The DPLL fallback exhausted its
+//! budget on all eight s953 aborts per set; they are redundant, so settling
+//! them adds no test, and the tests-only s953 digests are the DPLL-era ones.
 
 use sdd_atpg::sat::{generate_sat_bounded, SatOutcome};
 use sdd_atpg::{
@@ -40,13 +47,19 @@ impl Fnv {
     }
 }
 
-/// Each test's bit string in order, then the untestable and aborted ids.
-fn digest_set(set: &GeneratedTestSet) -> u64 {
+/// Each test's bit string in order.
+fn digest_tests(set: &GeneratedTestSet) -> Fnv {
     let mut h = Fnv::new();
     for test in &set.tests {
         h.bytes(test.to_string().as_bytes());
         h.bytes(b"\n");
     }
+    h
+}
+
+/// [`digest_tests`], then the untestable and aborted ids.
+fn digest_set(set: &GeneratedTestSet) -> u64 {
+    let mut h = digest_tests(set);
     for (tag, ids) in [(b"U", &set.untestable), (b"A", &set.aborted)] {
         h.bytes(tag);
         for id in ids {
@@ -56,33 +69,33 @@ fn digest_set(set: &GeneratedTestSet) -> u64 {
     h.0
 }
 
-/// Digests of the diagnostic and the 10-detection set, plus their sizes
-/// (reported on mismatch to make a failure readable).
-fn pinned_sets(name: &str, seed: u64, options: &AtpgOptions) -> [(u64, [usize; 3]); 2] {
+/// Generates the diagnostic and the 10-detection set and checks their
+/// digests, reporting their sizes on mismatch to make a failure readable.
+fn check_sets(
+    name: &str,
+    seed: u64,
+    options: &AtpgOptions,
+    expected: [u64; 2],
+) -> [GeneratedTestSet; 2] {
     let circuit = generator::iscas89(name, seed).expect("known profile");
     let view = CombView::new(&circuit);
     let universe = FaultUniverse::enumerate(&circuit);
     let collapsed = universe.collapse_on(&circuit);
     let faults = collapsed.representatives();
-    let diag = generate_diagnostic(&circuit, &view, &universe, faults, options);
-    let ten = generate_detection(&circuit, &view, &universe, faults, 10, options);
-    [&diag, &ten].map(|set| {
-        (
-            digest_set(set),
-            [set.tests.len(), set.untestable.len(), set.aborted.len()],
-        )
-    })
-}
-
-fn check_sets(name: &str, seed: u64, options: &AtpgOptions, expected: [u64; 2]) {
-    let got = pinned_sets(name, seed, options);
-    let digests = got.map(|(digest, _)| digest);
-    let sizes = got.map(|(_, sizes)| sizes);
+    let sets = [
+        generate_diagnostic(&circuit, &view, &universe, faults, options),
+        generate_detection(&circuit, &view, &universe, faults, 10, options),
+    ];
+    let digests = sets.each_ref().map(digest_set);
+    let sizes = sets
+        .each_ref()
+        .map(|set| [set.tests.len(), set.untestable.len(), set.aborted.len()]);
     assert_eq!(
         digests, expected,
         "{name} seed {seed}: [diag, 10det] digests {digests:x?}, pinned {expected:x?} \
          ((tests, untestable, aborted) = {sizes:?})"
     );
+    sets
 }
 
 /// The bounded SAT outcome of every collapsed fault, in order: the test
@@ -167,6 +180,11 @@ fn digest_podem(name: &str, seed: u64) -> (u64, [usize; 3]) {
     (h.0, counts)
 }
 
+/// Tests-only digests of the s953 sets, recorded under the DPLL fallback,
+/// which left eight faults per set aborted.
+const TESTS_ONLY_DIAG: u64 = 0xacd9_1c10_e45f_b0de;
+const TESTS_ONLY_10DET: u64 = 0xa000_44a0_2abd_5656;
+
 fn tight() -> AtpgOptions {
     AtpgOptions {
         backtrack_limit: 2,
@@ -190,7 +208,7 @@ fn s298_tight_backtrack_limit_exercises_the_sat_fallback() {
         "s298",
         5,
         &tight(),
-        [0x5f55_6632_4824_520e, 0x340d_65e2_d319_d394],
+        [0xf1c2_b6b3_e300_fdc3, 0x340d_65e2_d319_d394],
     );
 }
 
@@ -200,7 +218,7 @@ fn s344_tight_backtrack_limit_exercises_the_sat_fallback() {
         "s344",
         3,
         &tight(),
-        [0x9365_ecbe_9797_7b70, 0x59cd_9560_f0cb_6199],
+        [0xb75f_35cb_43f9_72b2, 0xd1fd_c775_2ad0_852f],
     );
 }
 
@@ -210,10 +228,12 @@ fn bounded_sat_outcome_of_every_collapsed_fault() {
     let digests = got.map(|(digest, _)| digest);
     let counts = got.map(|(_, counts)| counts);
     assert_eq!(
-        digests,
-        [0x7d9f_4d17_3829_3dc8, 0xa908_3e2d_a2cd_d01b],
-        "[s298 seed 5, s344 seed 3] digests {digests:x?} \
-         ((test, untestable, exhausted) = {counts:?})"
+        (digests, counts),
+        (
+            [0x0b89_4a6e_5836_64c7, 0x4af2_8d6c_e2a5_819b],
+            [[320, 9, 58], [368, 11, 103]]
+        ),
+        "[s298 seed 5, s344 seed 3] digests and (test, untestable, exhausted) counts"
     );
 }
 
@@ -232,11 +252,20 @@ fn podem_outcome_of_every_collapsed_fault() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run in release")]
-fn s953_default_options_with_natural_aborts() {
-    check_sets(
+fn s953_default_options_settle_every_fault() {
+    let sets = check_sets(
         "s953",
         1,
         &AtpgOptions::default(),
-        [0x4ff7_467d_1d40_1389, 0xf0b4_9e54_2cf5_8171],
+        [0xc7e2_d4bd_ec0f_bfd9, 0xd029_d023_2d6c_7541],
+    );
+    for set in &sets {
+        assert!(set.aborted.is_empty(), "aborted {:?}", set.aborted);
+    }
+    let tests_only = sets.each_ref().map(|set| digest_tests(set).0);
+    assert_eq!(
+        tests_only,
+        [TESTS_ONLY_DIAG, TESTS_ONLY_10DET],
+        "s953 seed 1: the settled aborts are redundant, so the tests must not move"
     );
 }

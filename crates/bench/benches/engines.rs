@@ -17,25 +17,40 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use same_different::Experiment;
+use sdd_atpg::sat::{generate_sat_bounded, SatOutcome};
 use sdd_atpg::{random_patterns, AtpgOptions, Podem, PodemOutcome};
 use sdd_core::{
     replace_baselines_pass, select_baselines_once, PassFailDictionary, SameDifferentDictionary,
 };
+use sdd_fault::Fault;
 use sdd_logic::{PatternBlock, Prng};
 use sdd_sim::{Engine, Partition};
 
 /// Times `iters` runs of `f` and prints the mean per-iteration time.
-fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
+fn bench<T>(name: &str, iters: u32, f: impl FnMut() -> T) {
+    bench_with(name, iters, f, |_| String::new());
+}
+
+/// Like [`bench`], and prints `describe` of the last run's result beside
+/// the time.
+fn bench_with<T>(
+    name: &str,
+    iters: u32,
+    mut f: impl FnMut() -> T,
+    describe: impl Fn(&T) -> String,
+) {
     // One warm-up iteration keeps first-touch page faults out of the timing.
     black_box(f());
     let start = Instant::now();
+    let mut last = None;
     for _ in 0..iters {
-        black_box(f());
+        last = Some(black_box(f()));
     }
     let total = start.elapsed();
     println!(
-        "{name:<40} {:>12.3} ms/iter  ({iters} iters)",
-        total.as_secs_f64() * 1e3 / f64::from(iters)
+        "{name:<40} {:>12.3} ms/iter  ({iters} iters){}",
+        total.as_secs_f64() * 1e3 / f64::from(iters),
+        last.map_or_else(String::new, |last| describe(&last))
     );
 }
 
@@ -206,36 +221,79 @@ fn bench_alternative_engines() {
 }
 
 fn bench_hard_faults() {
-    // The faults PODEM abandons at its default 4,096-backtrack limit on the
-    // s953 profile, then the bounded SAT fallback at the 32,768-backtrack
-    // budget test-set generation gives it: the path where ATPG spends most
-    // of its time.
-    let exp = Experiment::iscas89("s953", 1).expect("known circuit");
-    let (circuit, view) = (exp.circuit(), exp.view());
-    let podem_aborts = |faults: &[sdd_fault::Fault]| {
-        let mut podem = Podem::new(circuit, view);
+    // The faults deterministic PODEM abandons at its default 4,096-backtrack
+    // limit, then the bounded SAT fallback at the 32,768-conflict budget
+    // test-set generation gives it. PODEM is timed on the s953 profile's
+    // hard faults; SAT also on the s1196 profile's, where a solver without
+    // path-sensitization clauses is slower than PODEM's whole budget.
+    let hard_faults = |exp: &Experiment| {
+        let mut podem = Podem::new(exp.circuit(), exp.view());
         let mut rng = Prng::seed_from_u64(5);
-        faults
+        let hard: Vec<Fault> = exp
+            .faults()
             .iter()
-            .copied()
+            .map(|&id| exp.universe().fault(id))
             .filter(|&fault| podem.generate(fault, &mut rng) == PodemOutcome::Aborted)
-            .collect::<Vec<_>>()
+            .collect();
+        println!(
+            "hard faults ({}): {} of {}",
+            exp.circuit().name(),
+            hard.len(),
+            exp.faults().len()
+        );
+        hard
     };
-    let all: Vec<_> = exp
-        .faults()
-        .iter()
-        .map(|&id| exp.universe().fault(id))
-        .collect();
-    let hard = podem_aborts(&all);
-    println!("hard faults (s953): {} of {}", hard.len(), all.len());
-    bench("podem_hard_faults_s953", 3, || podem_aborts(&hard).len());
-    bench("sat_bounded_hard_faults_s953", 3, || {
-        hard.iter()
-            .filter(|&&fault| {
-                sdd_atpg::sat::generate_sat_bounded(circuit, view, fault, Some(32_768)).is_none()
-            })
-            .count()
-    });
+    let s953 = Experiment::iscas89("s953", 1).expect("known circuit");
+    let s1196 = Experiment::iscas89("s1196", 1).expect("known circuit");
+    let hard = [(&s953, hard_faults(&s953)), (&s1196, hard_faults(&s1196))];
+    let outcomes = |counts: &[usize; 3]| {
+        format!(
+            "  test {} / untestable {} / exhausted {}",
+            counts[0], counts[1], counts[2]
+        )
+    };
+    let (s953_exp, s953_hard) = &hard[0];
+    bench_with(
+        "podem_hard_faults_s953",
+        3,
+        || {
+            let mut podem = Podem::new(s953_exp.circuit(), s953_exp.view());
+            let mut rng = Prng::seed_from_u64(5);
+            let mut counts = [0usize; 3];
+            for &fault in s953_hard {
+                counts[match podem.generate(fault, &mut rng) {
+                    PodemOutcome::Test(_) => 0,
+                    PodemOutcome::Untestable => 1,
+                    PodemOutcome::Aborted => 2,
+                }] += 1;
+            }
+            counts
+        },
+        outcomes,
+    );
+    bench_with(
+        "sat_bounded_hard_faults_s953_s1196",
+        3,
+        || {
+            let mut counts = [0usize; 3];
+            for (exp, faults) in &hard {
+                for &fault in faults {
+                    counts[match generate_sat_bounded(
+                        exp.circuit(),
+                        exp.view(),
+                        fault,
+                        Some(32_768),
+                    ) {
+                        Some(SatOutcome::Test(_)) => 0,
+                        Some(SatOutcome::Untestable) => 1,
+                        None => 2,
+                    }] += 1;
+                }
+            }
+            counts
+        },
+        outcomes,
+    );
 }
 
 fn bench_response_matrix_simulate() {

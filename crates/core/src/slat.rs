@@ -1,5 +1,5 @@
 //! SLAT diagnosis — the Single Location At-a-Time paradigm (Bartenstein et
-//! al., ITC 2001; the paper's reference [23]).
+//! al., ITC 2001; the paper's reference \[23\]).
 //!
 //! Nearest-match diagnosis ranks whole-signature distances, which degrades
 //! when a defect involves *several* locations. SLAT instead works per test:

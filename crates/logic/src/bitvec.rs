@@ -208,8 +208,8 @@ impl BitVec {
     ///
     /// # Errors
     ///
-    /// Returns [`SddError::CountMismatch`] when `words.len()` differs from
-    /// `len.div_ceil(64)`.
+    /// Returns [`SddError::CountMismatch`](crate::SddError::CountMismatch)
+    /// when `words.len()` differs from `len.div_ceil(64)`.
     pub fn from_words(mut words: Vec<u64>, len: usize) -> Result<Self, crate::SddError> {
         if words.len() != len.div_ceil(64) {
             return Err(crate::SddError::CountMismatch {

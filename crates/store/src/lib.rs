@@ -3,8 +3,8 @@
 //! (`sdd_core::io`) the offline flow writes next to version control.
 //!
 //! A `.sddb` file is a 64-byte checksummed header followed by a bit-packed
-//! little-endian payload (see [`format`]) covering all three dictionary
-//! kinds. Signature rows are stored word-for-word as `sdd-logic` bit
+//! little-endian payload (see [`format`](mod@format)) covering all three
+//! dictionary kinds. Signature rows are stored word-for-word as `sdd-logic` bit
 //! vectors, so loading is a bounds-checked copy rather than a parse, and a
 //! per-fault row index lets [`SddbReader`] serve single-row loads without
 //! decoding the rest of the file. Every failure mode — truncation, version

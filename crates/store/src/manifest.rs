@@ -462,10 +462,10 @@ pub fn write_sharded(
 
 /// Manifest-aware access to a sharded dictionary set on disk.
 ///
-/// The reader holds only the decoded manifest; [`load_shard`]
-/// (Self::load_shard) reads, verifies, and decodes one shard on demand, so
-/// a service can keep cold shards off the heap entirely and a diagnosis
-/// driver can load them in cone-priority order.
+/// The reader holds only the decoded manifest;
+/// [`load_shard`](Self::load_shard) reads, verifies, and decodes one shard
+/// on demand, so a service can keep cold shards off the heap entirely and a
+/// diagnosis driver can load them in cone-priority order.
 #[derive(Debug, Clone)]
 pub struct ShardedReader {
     manifest: ShardManifest,

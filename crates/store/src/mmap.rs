@@ -149,10 +149,11 @@ mod sys {
 
 /// A whole dictionary file mapped read-only into the address space.
 ///
-/// The open [`File`] handle is retained so [`still_intact`]
-/// (Self::still_intact) can fstat the *mapped inode* — a file truncated in
-/// place shrinks under the map (touching the lost tail would SIGBUS), while
-/// a rename-replace leaves the old inode full-length and safe.
+/// The open [`File`] handle is retained so
+/// [`still_intact`](Self::still_intact) can fstat the *mapped inode* — a
+/// file truncated in place shrinks under the map (touching the lost tail
+/// would SIGBUS), while a rename-replace leaves the old inode full-length
+/// and safe.
 #[derive(Debug)]
 pub struct MappedFile {
     map: DebugMapping,

@@ -265,11 +265,11 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
     }
 
     /// Walks the payload's entire structure — every index entry, row, and
-    /// table — with the same bounds checks as [`dictionary`]
-    /// (Self::dictionary), but materializes at most one row at a time.
-    /// This is how `sdd verify` proves a mapped multi-gigabyte file sound
-    /// with O(row) heap instead of decoding it: peak memory is one bit
-    /// row, not the dictionary.
+    /// table — with the same bounds checks as
+    /// [`dictionary`](Self::dictionary), but materializes at most one row
+    /// at a time. This is how `sdd verify` proves a mapped multi-gigabyte
+    /// file sound with O(row) heap instead of decoding it: peak memory is
+    /// one bit row, not the dictionary.
     ///
     /// # Errors
     ///

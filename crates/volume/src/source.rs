@@ -51,9 +51,9 @@ pub fn error_token(error: &SddError) -> &'static str {
 
 /// A provider of dictionary shards for per-device diagnosis.
 ///
-/// Implementations must be cheap to query repeatedly: [`fetch`]
-/// (ShardSource::fetch) is called once per shard per device, and a warm
-/// shard should cost a clone of an [`Arc`], not I/O.
+/// Implementations must be cheap to query repeatedly:
+/// [`fetch`](ShardSource::fetch) is called once per shard per device, and a
+/// warm shard should cost a clone of an [`Arc`], not I/O.
 pub trait ShardSource: Sync {
     /// Dictionary kind (fixes the observation shape).
     fn kind(&self) -> DictionaryKind;

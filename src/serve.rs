@@ -90,8 +90,8 @@
 //!   high-water mark stops being read until it drains (write
 //!   backpressure), so a slow reader can never balloon server memory.
 //! * [`ServeBackend::Threaded`] — the portable fallback: each worker owns
-//!   one connection at a time and blocks on it, polling under
-//!   [`POLL_INTERVAL`] to honor shutdown and idle limits. It serves the
+//!   one connection at a time and blocks on it, polling every 100 ms
+//!   (`POLL_INTERVAL`) to honor shutdown and idle limits. It serves the
 //!   same byte-for-byte protocol (pipelined bursts included — the kernel
 //!   socket buffer holds them) and runs everywhere.
 //!
