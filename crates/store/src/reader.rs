@@ -16,9 +16,6 @@ use crate::{DictionaryKind, StoredDictionary};
 /// [`signature`](Self::signature) loads single fault rows through the row
 /// index without decoding the rest of the payload, and
 /// [`dictionary`](Self::dictionary) decodes the whole artifact.
-/// [`open_unverified`](Self::open_unverified) defers the payload checksum
-/// for callers that only touch a few rows of a mapped image and do not
-/// want to fault in every page up front.
 ///
 /// # Example
 ///
@@ -53,23 +50,6 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
     /// [`SddError::ChecksumMismatch`] for flipped bits, and
     /// [`SddError::UnsupportedVersion`] for newer formats.
     pub fn open(bytes: B) -> Result<Self, SddError> {
-        let reader = Self::open_unverified(bytes)?;
-        reader.verify_checksum()?;
-        Ok(reader)
-    }
-
-    /// Opens a byte image with the header and payload-length checks of
-    /// [`open`](Self::open) but *without* checksumming the payload — row
-    /// loads then fault in only the pages they touch, which is what makes
-    /// mapped cold-start latency independent of file size. Every row read
-    /// stays bounds-checked, so the worst a skipped checksum admits is
-    /// wrong bits, never out-of-bounds access; callers that serve
-    /// long-lived traffic should prefer [`open`](Self::open).
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open), minus [`SddError::ChecksumMismatch`].
-    pub fn open_unverified(bytes: B) -> Result<Self, SddError> {
         let image = bytes.as_ref();
         let header = Header::decode(image)?;
         let payload_len = image.len() - HEADER_LEN;
@@ -86,7 +66,9 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
                 payload_len - header.payload_len
             )));
         }
-        Ok(Self { bytes, header })
+        let reader = Self { bytes, header };
+        reader.verify_checksum()?;
+        Ok(reader)
     }
 
     /// Verifies the payload checksum recorded in the header.

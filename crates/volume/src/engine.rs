@@ -589,7 +589,10 @@ fn push_joined<T>(
 mod tests {
     use super::*;
     use crate::source::WholeSource;
+    use crate::synth::{synthesize, SynthSpec};
     use sdd_core::SameDifferentDictionary;
+    use sdd_logic::{BitVec, Prng};
+    use sdd_sim::ResponseMatrix;
     use std::time::Duration;
 
     fn source() -> WholeSource {
@@ -599,12 +602,43 @@ mod tests {
         ))
     }
 
-    fn run_corpus(corpus: &str, options: &VolumeOptions) -> (Vec<u8>, VolumeSummary) {
-        let source = source();
+    fn run_corpus(
+        source: &WholeSource,
+        corpus: &str,
+        options: &VolumeOptions,
+    ) -> (Vec<u8>, VolumeSummary) {
         let mut lines = corpus.lines().map(|l| Ok(l.to_owned()));
         let mut out = Vec::new();
-        let summary = run(&source, &mut lines, &mut JsonlSink(&mut out), options).unwrap();
+        let summary = run(source, &mut lines, &mut JsonlSink(&mut out), options).unwrap();
         (out, summary)
+    }
+
+    /// A seeded random response matrix and each fault's cone: the outputs
+    /// any test observes it on. It is big enough (400 faults, 32 tests of
+    /// 24 outputs) that a batch's lines usually spread over several
+    /// workers.
+    fn random_matrix(seed: u64) -> (ResponseMatrix, Vec<BitVec>) {
+        let (faults, tests, outputs) = (400, 32, 24);
+        let mut rng = Prng::seed_from_u64(seed);
+        let good: Vec<BitVec> = (0..tests)
+            .map(|_| (0..outputs).map(|_| rng.gen_bool(0.5)).collect())
+            .collect();
+        let mut cones = vec![BitVec::zeros(outputs); faults];
+        let mut responses = vec![Vec::with_capacity(faults); tests];
+        for (good, row) in good.iter().zip(&mut responses) {
+            for cone in &mut cones {
+                let mut response = BitVec::zeros(outputs);
+                for output in 0..outputs {
+                    let flip = rng.gen_bool(0.15);
+                    response.set(output, (good.get(output) == Some(true)) ^ flip);
+                    if flip {
+                        cone.set(output, true);
+                    }
+                }
+                row.push(response);
+            }
+        }
+        (ResponseMatrix::from_responses(good, &responses), cones)
     }
 
     #[test]
@@ -619,8 +653,9 @@ garbage !! line
 dev-3 10/11
 {\"device\":\"dev-4\",\"obs\":\"10/11\"}
 ";
-        let serial = run_corpus(corpus, &VolumeOptions::default());
+        let serial = run_corpus(&source(), corpus, &VolumeOptions::default());
         let parallel = run_corpus(
+            &source(),
             corpus,
             &VolumeOptions {
                 jobs: 4,
@@ -631,14 +666,46 @@ dev-3 10/11
         assert_eq!(serial.1.devices, 5);
         assert_eq!(serial.1.ignored, 2);
         assert_eq!(serial.1.skipped, 1);
+
+        // A synthesized corpus with masked and flipped bits: its 300
+        // devices span ten batches of `jobs × 32` lines at jobs 1 and three
+        // at jobs 4.
+        let (matrix, cones) = random_matrix(3);
+        let source = WholeSource::new(StoredDictionary::SameDifferent(
+            SameDifferentDictionary::with_fault_free_baselines(&matrix),
+        ))
+        .with_cones(cones)
+        .unwrap();
+        let spec = SynthSpec {
+            devices: 300,
+            systematic: vec![(11, 0.2), (42, 0.2)],
+            mask_rate: 0.02,
+            flip_rate: 0.01,
+            jsonl_every: 5,
+            seed: 1,
+        };
+        let mut corpus = Vec::new();
+        synthesize(&matrix, &spec, &mut corpus).unwrap();
+        let corpus = String::from_utf8(corpus).unwrap();
+        let at = |jobs| {
+            let options = VolumeOptions {
+                jobs,
+                ..Default::default()
+            };
+            run_corpus(&source, &corpus, &options)
+        };
+        let (serial, summary) = at(1);
+        assert_eq!(serial, at(4).0, "jobs must not change a byte");
+        assert_eq!(summary.ok, 300);
+        assert!(!summary.clusters.cones.is_empty());
     }
 
     #[test]
     fn wire_frames_strip_back_to_the_jsonl_report() {
         let corpus = "dev-0 10/11\nbad !! line\n";
         let options = VolumeOptions::default();
-        let (jsonl, _) = run_corpus(corpus, &options);
         let source = source();
+        let (jsonl, _) = run_corpus(&source, corpus, &options);
         let mut lines = corpus.lines().map(|l| Ok(l.to_owned()));
         let mut wire = Vec::new();
         run(&source, &mut lines, &mut WireSink(&mut wire), &options).unwrap();
@@ -667,7 +734,7 @@ dev-1 10/11
 dev-2 10/11
 dev-3 01/00
 ";
-        let (out, summary) = run_corpus(corpus, &VolumeOptions::default());
+        let (out, summary) = run_corpus(&source(), corpus, &VolumeOptions::default());
         assert_eq!(summary.ok, 4);
         assert_eq!(summary.clusters.systematic_at, 2);
         let top = &summary.clusters.faults[0];

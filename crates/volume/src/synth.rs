@@ -1,5 +1,5 @@
-//! Seeded corpus synthesis — the workload generator behind `volume_bench`,
-//! the examples, and the smoke tests.
+//! Seeded corpus synthesis — the workload generator behind perfbench's
+//! `volume` workload, the examples, and the volume tests.
 //!
 //! A synthetic corpus injects a few *systematic* faults (each owning a
 //! configured share of the devices) into a background of uniformly random

@@ -59,7 +59,6 @@ pub mod patch;
 pub mod reactor;
 pub mod serve;
 mod serve_reactor;
-pub mod shard;
 
 use sdd_atpg::{AtpgOptions, GeneratedTestSet};
 use sdd_fault::{CollapsedFaults, FaultId, FaultUniverse};

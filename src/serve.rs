@@ -113,11 +113,10 @@ use sdd_core::diagnose::{match_signatures_masked_into, MatchQuality, ScoredCandi
 use sdd_core::Budget;
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
 use sdd_store::{DictBytes, DictionaryKind, MmapMode, SddbReader, ShardedReader, StoredDictionary};
+use sdd_volume::shard::{self, ShardObservation};
 use sdd_volume::{
     error_token, quality_name, FetchError, ShardSource, VolumeOptions, WholeSource, WireSink,
 };
-
-use crate::shard::{self, ShardObservation};
 
 /// Which transport drives the sockets (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

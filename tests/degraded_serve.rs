@@ -5,8 +5,8 @@
 //! whose `covered=` field reports exact fault coverage.
 
 use same_different::serve::{serve, Client, ServeConfig};
-use same_different::shard::{self, ShardObservation};
 use same_different::store::{self, ShardedReader, StoredDictionary};
+use same_different::volume::shard::{self, ShardObservation};
 use same_different::Experiment;
 use sdd_core::diagnose::{MatchQuality, ScoredCandidate};
 use sdd_core::Procedure1Options;

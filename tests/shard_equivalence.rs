@@ -7,9 +7,9 @@
 use same_different::dict::{PassFailDictionary, Procedure1Options};
 use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::serve::{serve, Client, ServeConfig};
-use same_different::shard::{diagnose_sharded, ShardObservation};
 use same_different::sim::{contiguous_ranges, reference, OutputCones};
 use same_different::store::{save, slice_dictionary, write_sharded, StoredDictionary};
+use same_different::volume::shard::{diagnose_sharded, ShardObservation};
 use same_different::{DictionarySuite, Experiment};
 
 fn build(exp: &Experiment) -> (Vec<BitVec>, DictionarySuite) {

@@ -2,7 +2,7 @@
 //! round-trips text ↔ binary ↔ memory exactly, and every corruption mode
 //! of the binary store surfaces as its typed error.
 
-use same_different::dict::{io as dict_io, Procedure1Options};
+use same_different::dict::{io as dict_io, Procedure1Options, SameDifferentDictionary};
 use same_different::logic::SddError;
 use same_different::store::{
     self, decode, encode, DictionaryKind, SddbReader, StoredDictionary, HEADER_LEN,
@@ -66,27 +66,49 @@ fn same_different_round_trips_text_to_binary_to_memory() {
     );
 }
 
+/// Every signature and baseline row `reader` loads lazily equals the
+/// full decode's.
+fn assert_lazy_rows_match(reader: &SddbReader<impl AsRef<[u8]>>, full: &SameDifferentDictionary) {
+    assert_eq!(reader.kind(), DictionaryKind::SameDifferent);
+    for fault in 0..full.fault_count() {
+        assert_eq!(reader.signature(fault).unwrap(), *full.signature(fault));
+    }
+    for test in 0..full.test_count() {
+        assert_eq!(reader.baseline(test).unwrap(), *full.baseline(test));
+    }
+}
+
 #[test]
 fn lazy_row_loads_agree_with_full_decodes() {
+    use store::MmapMode;
+
     let suite = c17_suite();
-    let bytes = encode(&StoredDictionary::SameDifferent(
-        suite.same_different.clone(),
-    ))
-    .unwrap();
-    let reader = SddbReader::open(&bytes).unwrap();
-    assert_eq!(reader.kind(), DictionaryKind::SameDifferent);
-    for fault in 0..suite.same_different.fault_count() {
-        assert_eq!(
-            reader.signature(fault).unwrap(),
-            *suite.same_different.signature(fault)
-        );
+    let stored = StoredDictionary::SameDifferent(suite.same_different.clone());
+    let bytes = encode(&stored).unwrap();
+    assert_lazy_rows_match(&SddbReader::open(&bytes).unwrap(), &suite.same_different);
+
+    // The same artifact on disk, read owned and (where the target can)
+    // mapped: the lazy reader then walks the file's bytes, not a `Vec`
+    // built in memory.
+    let dir = std::env::temp_dir().join(format!("sdd-roundtrip-lazy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dict.sddb");
+    store::save(&path, &stored).unwrap();
+    let mut modes = vec![MmapMode::Off];
+    if store::mmap_supported() {
+        modes.push(MmapMode::On);
     }
-    for test in 0..suite.same_different.test_count() {
-        assert_eq!(
-            reader.baseline(test).unwrap(),
-            *suite.same_different.baseline(test)
-        );
+    for mode in modes {
+        let image = store::read_dictionary_bytes(&path, mode).unwrap();
+        assert_eq!(image.is_mapped(), mode == MmapMode::On);
+        let reader = SddbReader::open(image).unwrap();
+        let StoredDictionary::SameDifferent(full) = reader.dictionary().unwrap() else {
+            panic!("{}: decoded the wrong kind", mode.name());
+        };
+        assert_eq!(full, suite.same_different, "{}", mode.name());
+        assert_lazy_rows_match(&reader, &full);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
