@@ -16,7 +16,7 @@
 //!            [--budget-ms MS] [--threshold F] [--report out.jsonl] [--mmap auto|on|off]
 //! sdd serve [--addr HOST:PORT] [--workers N] [--mem-cap BYTES]
 //!           [--max-conns N] [--deadline-ms MS] [--idle-ms MS]
-//!           [--backend auto|threaded|reactor] [--mmap auto|on|off] [name=dict ...]
+//!           [--mmap auto|on|off] [name=dict ...]
 //! ```
 //!
 //! `volume` streams a datalog corpus (one device observation per line, text
@@ -845,7 +845,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut max_conns = None;
     let mut deadline_ms = None;
     let mut idle_ms = None;
-    let mut backend = None;
     let mut mmap = None;
     let positional = parse_flags(
         args,
@@ -856,7 +855,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ("--max-conns", &mut max_conns),
             ("--deadline-ms", &mut deadline_ms),
             ("--idle-ms", &mut idle_ms),
-            ("--backend", &mut backend),
             ("--mmap", &mut mmap),
         ],
     )?;
@@ -883,10 +881,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(ms) = idle_ms {
         let ms: u64 = ms.parse().map_err(|_| "bad --idle-ms")?;
         config.idle_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(token) = backend {
-        config.backend =
-            same_different::serve::ServeBackend::parse(&token).map_err(|e| e.to_string())?;
     }
     if let Some(token) = mmap {
         config.mmap = parse_mmap(&token)?;

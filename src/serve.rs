@@ -73,40 +73,30 @@
 //!   [`ServeConfig::write_timeout`] is connection death, never a wedged
 //!   worker.
 //!
-//! # Transport backends
+//! # Transport
 //!
-//! Two interchangeable transports serve the identical protocol, selected by
-//! [`ServeConfig::backend`]:
+//! One event-driven readiness loop ([`crate::reactor`]: epoll on Linux,
+//! `poll(2)` on other unix targets) owns every socket: accept, read,
+//! write, and the idle/write-stall timers. Complete request lines are
+//! handed to the worker pool over an SPMC queue; workers execute the
+//! CPU-bound diagnosis and push reply bytes to per-connection outbound
+//! buffers the reactor drains on writability. Clients may **pipeline**:
+//! many requests written in one burst are answered in order,
+//! byte-identical to issuing them sequentially. A connection whose
+//! outbound buffer passes the high-water mark stops being read until it
+//! drains (write backpressure), so a slow reader can never balloon server
+//! memory.
 //!
-//! * [`ServeBackend::Reactor`] (the default on Linux via
-//!   [`ServeBackend::Auto`]) — one event-driven readiness loop
-//!   ([`crate::reactor`]) owns every socket: accept, read, write, and the
-//!   idle/write-stall timers. Complete request lines are handed to the
-//!   worker pool over an SPMC queue; workers execute the CPU-bound
-//!   diagnosis and push reply bytes to per-connection outbound buffers the
-//!   reactor drains on writability. Clients may **pipeline**: many requests
-//!   written in one burst are answered in order, byte-identical to issuing
-//!   them sequentially. A connection whose outbound buffer passes the
-//!   high-water mark stops being read until it drains (write
-//!   backpressure), so a slow reader can never balloon server memory.
-//! * [`ServeBackend::Threaded`] — the portable fallback: each worker owns
-//!   one connection at a time and blocks on it, polling every 100 ms
-//!   (`POLL_INTERVAL`) to honor shutdown and idle limits. It serves the
-//!   same byte-for-byte protocol (pipelined bursts included — the kernel
-//!   socket buffer holds them) and runs everywhere.
-//!
-//! `STATS` reports which backend is live (`backend=`) plus the reactor
-//! traffic counters (`accepted=`, `wakeups=`, `backpressure_stalls=`,
-//! `pipelined=`); the threaded backend reports zeros for those so parsers
-//! stay uniform.
+//! `STATS` names the transport (`backend=reactor`) and reports its traffic
+//! counters (`accepted=`, `wakeups=`, `backpressure_stalls=`,
+//! `pipelined=`).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sdd_core::diagnose::{match_signatures_masked_into, MatchQuality, ScoredCandidate};
@@ -118,65 +108,31 @@ use sdd_volume::{
     error_token, quality_name, FetchError, ShardSource, VolumeOptions, WholeSource, WireSink,
 };
 
-/// Which transport drives the sockets (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeBackend {
-    /// The epoll reactor where supported ([`crate::reactor::supported`]),
-    /// else the threaded transport. The right choice almost always.
-    #[default]
-    Auto,
-    /// Force the portable blocking worker-pool transport.
-    Threaded,
-    /// Force the epoll reactor; [`serve`] fails with a typed error on
-    /// platforms without it.
-    Reactor,
-}
-
-impl ServeBackend {
-    /// Parses the `--backend` CLI token.
-    ///
-    /// # Errors
-    ///
-    /// [`SddError::Invalid`] for anything but `auto`/`threaded`/`reactor`.
-    pub fn parse(token: &str) -> Result<Self, SddError> {
-        match token.to_ascii_lowercase().as_str() {
-            "auto" => Ok(Self::Auto),
-            "threaded" => Ok(Self::Threaded),
-            "reactor" => Ok(Self::Reactor),
-            other => Err(SddError::invalid(format!(
-                "unknown serve backend {other:?} (expected auto, threaded, or reactor)"
-            ))),
-        }
-    }
-}
-
 /// How the server is bound and provisioned.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:4017` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads handling connections.
+    /// Worker threads executing requests.
     pub workers: usize,
     /// Registry memory cap in bytes; least-recently-used dictionaries are
     /// evicted when loading would exceed it.
     pub memory_cap: usize,
-    /// Connections served concurrently before the acceptor starts shedding
+    /// Connections served concurrently before the reactor starts shedding
     /// newcomers with a one-line `OK BUSY` refusal.
     pub max_connections: usize,
-    /// Per-write socket timeout; a reply write that stalls this long is
-    /// connection death, never a wedged worker.
+    /// How long a reply write may stall; a connection whose client stops
+    /// reading for this long is closed.
     pub write_timeout: Duration,
     /// A connection with no *complete* request line for this long is closed
     /// (`ERR idle timeout ...`) — the slow-loris cutoff that keeps stalled
-    /// clients from pinning pool workers.
+    /// clients from holding connection slots.
     pub idle_timeout: Duration,
     /// Optional wall-clock budget per request. A sharded `DIAG` that runs
     /// out mid-load answers `PARTIAL` from the shards already resident;
     /// remaining `BATCH` items answer `ERR deadline`. `None` means
     /// unbounded.
     pub request_deadline: Option<Duration>,
-    /// Which transport drives the sockets (see the module docs).
-    pub backend: ServeBackend,
     /// How `LOAD` brings dictionary files into memory: mapped zero-copy
     /// images ([`MmapMode::Auto`] maps on Linux, reads elsewhere) or owned
     /// buffers. Mapped binary dictionaries register their validated image
@@ -195,7 +151,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(600),
             request_deadline: None,
-            backend: ServeBackend::Auto,
             mmap: MmapMode::Auto,
         }
     }
@@ -203,12 +158,6 @@ impl Default for ServeConfig {
 
 /// How many ranked candidates a `DIAG` reply includes in its `top=` field.
 const TOP_CANDIDATES: usize = 5;
-
-/// Read timeout the **threaded** backend uses to re-check the shutdown flag
-/// on idle connections. The reactor backend has no poll tick at all —
-/// shutdown, idle cutoffs, and write stalls are epoll wakeups with computed
-/// deadlines.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// One loaded dictionary — whole, or a lazily-populated shard set.
 enum Entry {
@@ -438,9 +387,16 @@ impl Registry {
 
     /// Makes the decoded form of an image-backed whole dictionary resident
     /// (the decode ran in the worker, outside this lock), then evicts
-    /// until the total fits the cap. If the entry was replaced mid-request
-    /// the decode still serves this request; it is just not cached.
-    fn insert_decoded(&self, name: &str, dictionary: StoredDictionary) -> Arc<StoredDictionary> {
+    /// until the total fits the cap. The decode is cached only while the
+    /// entry still holds `image`, the image it was decoded from: if a
+    /// `LOAD` or `RELOAD` swapped the entry mid-request, the decode serves
+    /// this request uncached and the new image stays cold.
+    fn insert_decoded(
+        &self,
+        name: &str,
+        image: &Arc<DictBytes>,
+        dictionary: StoredDictionary,
+    ) -> Arc<StoredDictionary> {
         let bytes = dictionary.approx_bytes();
         let dictionary = Arc::new(dictionary);
         let mut inner = self.lock();
@@ -450,10 +406,13 @@ impl Registry {
             dictionary: resident,
             bytes: entry_bytes,
             last_used,
-            image: Some(_),
+            image: Some(held),
             ..
         }) = inner.entries.get_mut(name)
         {
+            if !Arc::ptr_eq(held, image) {
+                return dictionary;
+            }
             let replaced = std::mem::replace(entry_bytes, bytes);
             *resident = Some(Arc::clone(&dictionary));
             *last_used = clock;
@@ -570,14 +529,25 @@ impl Registry {
         }
     }
 
-    /// Fetches one resident shard and marks it most-recently-used; `None`
-    /// when the shard is cold, evicted, or the entry is gone.
-    fn resident_shard(&self, name: &str, index: usize) -> Option<Arc<StoredDictionary>> {
+    /// Fetches one resident shard of the shard set `reader` opened and
+    /// marks it most-recently-used; `None` when the shard is cold or
+    /// evicted, or the entry no longer holds `reader` (a `RELOAD` or `LOAD`
+    /// swapped it, so its slot `index` may cover other faults).
+    fn resident_shard(
+        &self,
+        name: &str,
+        reader: &Arc<ShardedReader>,
+        index: usize,
+    ) -> Option<Arc<StoredDictionary>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.entries.get_mut(name) {
-            Some(Entry::Sharded { slots, .. }) => {
+            Some(Entry::Sharded {
+                reader: held,
+                slots,
+                ..
+            }) if Arc::ptr_eq(held, reader) => {
                 let slot = slots.get_mut(index)?;
                 let dictionary = slot.resident.as_ref().map(Arc::clone)?;
                 slot.last_used = clock;
@@ -589,9 +559,10 @@ impl Registry {
 
     /// Makes a freshly-loaded shard resident (shard file I/O happens in the
     /// worker, outside this lock), then evicts until the total fits the
-    /// cap — the shard just inserted is never its own victim. If the entry
-    /// was evicted or replaced mid-request, it is re-registered from
-    /// `reader` so the load is not wasted.
+    /// cap — the shard just inserted is never its own victim. The shard is
+    /// cached only while the entry still holds `reader`, the shard set it
+    /// was loaded through: if a `RELOAD` or `LOAD` swapped the entry
+    /// mid-request, the shard serves this request uncached.
     fn insert_shard(
         &self,
         name: &str,
@@ -609,29 +580,26 @@ impl Registry {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        if !matches!(inner.entries.get(name), Some(Entry::Sharded { .. })) {
-            let slots = (0..reader.shard_count())
-                .map(|_| ShardSlot::default())
-                .collect();
-            inner.entries.insert(
-                name.to_owned(),
-                Entry::Sharded {
-                    reader: Arc::clone(reader),
-                    slots,
-                    load_us: 0,
-                },
-            );
+        let Some(Entry::Sharded {
+            reader: held,
+            slots,
+            ..
+        }) = inner.entries.get_mut(name)
+        else {
+            return dictionary;
+        };
+        if !Arc::ptr_eq(held, reader) {
+            return dictionary;
         }
-        if let Some(Entry::Sharded { slots, .. }) = inner.entries.get_mut(name) {
-            if let Some(slot) = slots.get_mut(index) {
-                let replaced = std::mem::replace(&mut slot.bytes, bytes);
-                slot.resident = Some(Arc::clone(&dictionary));
-                slot.image = image;
-                slot.last_used = clock;
-                slot.loads += 1;
-                inner.bytes -= replaced;
-            }
-        }
+        let Some(slot) = slots.get_mut(index) else {
+            return dictionary;
+        };
+        let replaced = std::mem::replace(&mut slot.bytes, bytes);
+        slot.resident = Some(Arc::clone(&dictionary));
+        slot.image = image;
+        slot.last_used = clock;
+        slot.loads += 1;
+        inner.bytes -= replaced;
         inner.bytes += bytes;
         inner.evict_over_cap(self.cap, (name, Some(index)));
         dictionary
@@ -745,7 +713,7 @@ struct ShardStat {
     bytes: usize,
 }
 
-/// State shared by the transport (acceptor or reactor) and every worker.
+/// State shared by the reactor and every worker.
 pub(crate) struct Shared {
     registry: Registry,
     pub(crate) shutting_down: AtomicBool,
@@ -755,25 +723,21 @@ pub(crate) struct Shared {
     busy: AtomicU64,
     /// Sharded diagnoses answered with a degraded `PARTIAL` verdict.
     partial: AtomicU64,
-    /// Connections currently admitted (queued or in a worker).
+    /// Connections currently admitted.
     pub(crate) active: AtomicUsize,
-    /// Connections accepted by the reactor (threaded reports zero).
+    /// Connections the reactor accepted.
     pub(crate) accepted: AtomicU64,
-    /// Reactor `epoll_wait` returns (threaded reports zero).
+    /// Returns from the reactor's poller wait.
     pub(crate) wakeups: AtomicU64,
     /// Transitions into write backpressure — a connection whose outbound
-    /// buffer crossed the high-water mark and stopped being read
-    /// (threaded reports zero).
+    /// buffer crossed the high-water mark and stopped being read.
     pub(crate) backpressure_stalls: AtomicU64,
     /// Requests answered from bytes that were already buffered behind an
-    /// earlier request on the same connection — the pipelining win
-    /// (threaded reports zero).
+    /// earlier request on the same connection — the pipelining win.
     pub(crate) pipelined: AtomicU64,
     addr: SocketAddr,
     /// Size of the worker pool, reported by `STATS`.
     pub(crate) workers: usize,
-    /// Which transport is live, reported by `STATS` as `backend=`.
-    backend: &'static str,
     /// How `LOAD` brings dictionary files into memory, copied out of
     /// [`ServeConfig::mmap`].
     mmap: MmapMode,
@@ -818,7 +782,7 @@ impl RequestClock {
 /// connection, then [`wait`](Self::wait).
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -835,52 +799,32 @@ impl ServerHandle {
     }
 
     /// Blocks until the server has fully drained and every thread exited.
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn wait(self) {
+        let _ = self.reactor.join();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// Flags the shutdown and pokes the transport loose from its wait with a
-/// throwaway connection (the threaded acceptor's `accept()` returns; the
-/// reactor's listener turns readable).
+/// Flags the shutdown and pokes the reactor loose from its wait with a
+/// throwaway connection: the listener turns readable.
 pub(crate) fn begin_shutdown(shared: &Shared) {
     if !shared.shutting_down.swap(true, Ordering::SeqCst) {
         let _ = TcpStream::connect(shared.addr);
     }
 }
 
-/// Binds the listener and spawns the transport (reactor or
-/// acceptor-plus-workers, per [`ServeConfig::backend`]).
+/// Binds the listener and spawns the reactor and its worker pool.
 ///
 /// Returns once the port is bound; serving continues in the background
 /// until a `SHUTDOWN` request (or [`ServerHandle::shutdown`]) drains it.
 ///
 /// # Errors
 ///
-/// [`SddError::Io`] when the address cannot be bound;
-/// [`SddError::Invalid`] when [`ServeBackend::Reactor`] is forced on a
-/// platform without epoll.
+/// [`SddError::Io`] when the address cannot be bound or the reactor
+/// cannot be set up.
 pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
-    let backend = match config.backend {
-        ServeBackend::Auto => {
-            if crate::reactor::supported() {
-                ServeBackend::Reactor
-            } else {
-                ServeBackend::Threaded
-            }
-        }
-        ServeBackend::Reactor if !crate::reactor::supported() => {
-            return Err(SddError::invalid(
-                "the reactor backend needs epoll; this platform has none (use --backend threaded)",
-            ));
-        }
-        explicit => explicit,
-    };
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| SddError::io(config.addr.clone(), &e))?;
     let addr = listener
@@ -900,10 +844,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
         pipelined: AtomicU64::new(0),
         addr,
         workers: config.workers.max(1),
-        backend: match backend {
-            ServeBackend::Reactor => "reactor",
-            _ => "threaded",
-        },
         mmap: config.mmap,
         limits: Limits {
             max_connections: config.max_connections.max(1),
@@ -912,63 +852,11 @@ pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
             request_deadline: config.request_deadline,
         },
     });
-
-    if backend == ServeBackend::Reactor {
-        let (reactor, workers) = crate::serve_reactor::spawn(listener, Arc::clone(&shared))
-            .map_err(|e| SddError::io("epoll reactor", &e))?;
-        return Ok(ServerHandle {
-            shared,
-            acceptor: Some(reactor),
-            workers,
-        });
-    }
-
-    let (sender, receiver) = mpsc::channel::<TcpStream>();
-    let receiver = Arc::new(Mutex::new(receiver));
-    let workers = (0..shared.workers)
-        .map(|_| {
-            let receiver = Arc::clone(&receiver);
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker_loop(&receiver, &shared))
-        })
-        .collect();
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break; // the poke, or a client that raced it
-                        }
-                        // Shed before queueing: a connection past the cap
-                        // gets an explicit one-line refusal instead of
-                        // waiting unbounded behind stalled peers.
-                        if shared.active.load(Ordering::SeqCst) >= shared.limits.max_connections {
-                            shed_connection(&stream, &shared);
-                            continue;
-                        }
-                        shared.active.fetch_add(1, Ordering::SeqCst);
-                        if sender.send(stream).is_err() {
-                            shared.active.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Dropping the sender lets workers drain the queue and exit.
-        })
-    };
-
+    let (reactor, workers) = crate::serve_reactor::spawn(listener, Arc::clone(&shared))
+        .map_err(|e| SddError::io("serve reactor", &e))?;
     Ok(ServerHandle {
         shared,
-        acceptor: Some(acceptor),
+        reactor,
         workers,
     })
 }
@@ -981,34 +869,6 @@ pub(crate) struct Scratch {
     responses: Vec<MaskedBitVec>,
 }
 
-fn worker_loop(receiver: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>) {
-    let mut scratch = Scratch::default();
-    loop {
-        let stream = {
-            // A worker that panicked mid-request poisons nothing the queue
-            // depends on — recover the receiver and keep serving.
-            let guard = receiver.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => {
-                handle_connection(stream, shared, &mut scratch);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            Err(_) => break, // acceptor gone and queue drained
-        }
-    }
-}
-
-/// Logs (one stderr line) a failed socket option instead of silently
-/// discarding it — a box where `SO_RCVTIMEO` cannot be set is a box where
-/// stalled clients pin workers, and that must be visible in triage.
-fn warn_socket(what: &str, result: io::Result<()>) {
-    if let Err(e) = result {
-        eprintln!("sdd-serve: {what} failed: {e}");
-    }
-}
-
 /// Refuses one connection under overload: a one-line `OK BUSY` reply, then
 /// the stream drops closed. The client saw an explicit verdict and can
 /// retry with backoff; the worker pool never saw the connection.
@@ -1019,142 +879,15 @@ fn warn_socket(what: &str, result: io::Result<()>) {
 /// stalling admission — shedding must never cost more than one syscall.
 pub(crate) fn shed_connection(stream: &TcpStream, shared: &Shared) {
     shared.busy.fetch_add(1, Ordering::Relaxed);
-    warn_socket("set_nonblocking (shed)", stream.set_nonblocking(true));
+    if let Err(e) = stream.set_nonblocking(true) {
+        eprintln!("sdd-serve: set_nonblocking (shed) failed: {e}");
+    }
     let line = format!(
         "OK BUSY active={} max={}\n",
         shared.active.load(Ordering::SeqCst),
         shared.limits.max_connections,
     );
     let _ = (&*stream).write(line.as_bytes());
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, scratch: &mut Scratch) {
-    // Socket-option failures are survivable (the connection just loses its
-    // stall protection) but must not be silent — see `warn_socket`.
-    warn_socket(
-        "set_read_timeout",
-        stream.set_read_timeout(Some(POLL_INTERVAL)),
-    );
-    warn_socket(
-        "set_write_timeout",
-        stream.set_write_timeout(Some(shared.limits.write_timeout)),
-    );
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut last_complete = Instant::now();
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return; // in-flight request finished; drop the connection
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                let request = line.trim().to_owned();
-                line.clear();
-                if request.is_empty() {
-                    continue;
-                }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let clock = RequestClock::new(shared.limits.request_deadline);
-                // One panicking request must not take the worker (and its
-                // queued connections) down with it: catch the unwind, tell
-                // the client, and keep serving. The scratch buffers are
-                // cleared at the start of every parse, so reusing them
-                // after a panic is safe.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    respond(&request, shared, scratch, &mut reader, &mut writer, &clock)
-                }));
-                match outcome {
-                    Ok(Ok(ConnectionFate::Keep)) => {}
-                    Ok(Ok(ConnectionFate::Close)) => return,
-                    // Client went away mid-reply, or the write timed out
-                    // (`WouldBlock`/`TimedOut` from `SO_SNDTIMEO`): either
-                    // way the connection is dead; the worker is not.
-                    Ok(Err(_)) => return,
-                    Err(_) => {
-                        let reply = err_reply("internal error: request panicked");
-                        if writeln!(writer, "{reply}")
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                last_complete = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle poll tick; a partial line stays buffered. A client
-                // that dribbles bytes without ever finishing a request —
-                // the slow-loris shape — is cut off at the idle limit so
-                // it cannot pin a pool worker forever.
-                if last_complete.elapsed() >= shared.limits.idle_timeout {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        err_reply("idle timeout: no complete request within the limit")
-                    );
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-enum ConnectionFate {
-    Keep,
-    Close,
-}
-
-/// Parses one request line, writes the reply line(s), and says whether the
-/// connection stays open. `VOLUME` is the one verb that also *reads*: its
-/// corpus lines stream in on `reader` right behind the request line.
-///
-/// The inline verbs (`STATS`, `QUIT`, `SHUTDOWN`) and streaming `VOLUME`
-/// are handled here; every worker verb goes through [`execute_line`], the
-/// execution core both transports share.
-fn respond(
-    request: &str,
-    shared: &Arc<Shared>,
-    scratch: &mut Scratch,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    clock: &RequestClock,
-) -> io::Result<ConnectionFate> {
-    let mut tokens = request.split_whitespace();
-    let verb = tokens.next().unwrap_or_default().to_ascii_uppercase();
-    match verb.as_str() {
-        "VOLUME" => volume_reply(&mut tokens, shared, reader, writer)?,
-        "STATS" => writeln!(writer, "{}", stats_reply(shared))?,
-        "QUIT" => {
-            writeln!(writer, "OK BYE")?;
-            writer.flush()?;
-            return Ok(ConnectionFate::Close);
-        }
-        "SHUTDOWN" => {
-            writeln!(writer, "OK BYE")?;
-            writer.flush()?;
-            begin_shutdown(shared);
-            return Ok(ConnectionFate::Close);
-        }
-        _ => {
-            let mut out = Vec::new();
-            execute_line(request, shared, scratch, clock, &mut out);
-            writer.write_all(&out)?;
-        }
-    }
-    writer.flush()?;
-    Ok(ConnectionFate::Keep)
 }
 
 /// Appends one complete protocol line (newline-terminated) to a reply
@@ -1168,12 +901,10 @@ pub(crate) fn push_line(out: &mut Vec<u8>, line: &str) {
 /// `BATCH`, the env-gated `PANIC` test hook, or an unknown verb —
 /// appending the complete reply line(s) to `out`.
 ///
-/// This is the execution core both transports share: the threaded backend
-/// buffers through it before writing, and the reactor's workers call it
-/// once per pipelined request. The caller routes the inline verbs
-/// (`STATS`, `QUIT`, `SHUTDOWN`) and the corpus-reading `VOLUME` verb, so
-/// they never reach here. `PANIC` really panics — containment is the
-/// caller's `catch_unwind`.
+/// The reactor's workers call it once per pipelined request. The reactor
+/// routes the inline verbs (`STATS`, `QUIT`, `SHUTDOWN`) and the
+/// corpus-reading `VOLUME` verb elsewhere, so they never reach here.
+/// `PANIC` really panics — containment is the caller's `catch_unwind`.
 pub(crate) fn execute_line(
     request: &str,
     shared: &Arc<Shared>,
@@ -1186,14 +917,19 @@ pub(crate) fn execute_line(
     match verb.as_str() {
         "LOAD" => {
             let reply = match (tokens.next(), tokens.next(), tokens.next()) {
-                (Some(name), Some(path), None) => load_reply(name, path, shared),
+                (Some(name), Some(path), None) => load_reply(name, path, shared, false),
                 _ => err_reply("usage: LOAD <name> <path>"),
             };
             push_line(out, &reply);
         }
         "RELOAD" => {
             let reply = match (tokens.next(), tokens.next()) {
-                (Some(name), None) => reload_reply(name, shared),
+                (Some(name), None) => match shared.registry.source_path(name) {
+                    Some(path) => load_reply(name, &path, shared, true),
+                    None => err_reply(&format!(
+                        "unknown dictionary {name:?}: RELOAD needs a prior LOAD"
+                    )),
+                },
                 _ => err_reply("usage: RELOAD <name>"),
             };
             push_line(out, &reply);
@@ -1250,7 +986,7 @@ pub(crate) fn execute_line(
 pub(crate) fn stats_reply(shared: &Shared) -> String {
     let stats = shared.registry.stats();
     let mut reply = format!(
-        "OK STATS workers={} dicts={} bytes={} mapped={} cap={} requests={} diags={} evictions={} busy={} partial={} active={} backend={} accepted={} wakeups={} backpressure_stalls={} pipelined={}",
+        "OK STATS workers={} dicts={} bytes={} mapped={} cap={} requests={} diags={} evictions={} busy={} partial={} active={} backend=reactor accepted={} wakeups={} backpressure_stalls={} pipelined={}",
         shared.workers,
         stats.dicts,
         stats.bytes,
@@ -1262,7 +998,6 @@ pub(crate) fn stats_reply(shared: &Shared) -> String {
         shared.busy.load(Ordering::Relaxed),
         shared.partial.load(Ordering::Relaxed),
         shared.active.load(Ordering::SeqCst),
-        shared.backend,
         shared.accepted.load(Ordering::Relaxed),
         shared.wakeups.load(Ordering::Relaxed),
         shared.backpressure_stalls.load(Ordering::Relaxed),
@@ -1294,8 +1029,14 @@ pub(crate) fn err_reply(message: &str) -> String {
     format!("ERR {}", message.replace('\n', " "))
 }
 
-fn load_reply(name: &str, path: &str, shared: &Arc<Shared>) -> String {
+/// Reads the artifact at `path` once, in the server's mmap mode, and
+/// registers it under `name`. With `reload` set this is `RELOAD`: a
+/// sharded entry keeps every resident shard whose manifest record is
+/// byte-for-byte unchanged (only patched shards go cold), and a whole
+/// dictionary is replaced outright (`kept=0`).
+fn load_reply(name: &str, path: &str, shared: &Arc<Shared>, reload: bool) -> String {
     let start = Instant::now();
+    let elapsed_us = || u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
     // `read_dictionary_bytes` validates the header-declared payload length
     // against the actual file length *before* buffering or mapping, so a
     // corrupt header claiming a huge payload cannot make the server
@@ -1304,100 +1045,67 @@ fn load_reply(name: &str, path: &str, shared: &Arc<Shared>) -> String {
         Ok(bytes) => bytes,
         Err(e) => return err_reply(&e.to_string()),
     };
-    if sdd_store::is_manifest(&bytes) {
+    let reply = if sdd_store::is_manifest(&bytes) {
         // A shard manifest registers the set without touching any shard
         // file — shards load lazily on the first DIAG that needs them,
         // inheriting the server's byte-ownership mode.
-        return match ShardedReader::open_with(path, shared.mmap) {
-            Ok(reader) => {
-                let m = reader.manifest();
-                let (kind, faults, tests, shards) =
-                    (m.kind.name(), m.faults, m.tests, reader.shard_count());
-                let load_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let resident = shared.registry.insert_manifest(name, reader, load_us);
-                shared.registry.record_path(name, path);
-                format!(
-                    "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} shards={shards}"
-                )
-            }
-            Err(e) => err_reply(&e.to_string()),
+        let reader = match ShardedReader::open_with(path, shared.mmap) {
+            Ok(reader) => reader,
+            Err(e) => return err_reply(&e.to_string()),
         };
-    }
-    if bytes.is_mapped() && sdd_store::is_binary(&bytes) {
+        let m = reader.manifest();
+        let (kind, faults, tests, shards) =
+            (m.kind.name(), m.faults, m.tests, reader.shard_count());
+        let load_us = elapsed_us();
+        if reload {
+            let kept = shared.registry.reload_manifest(name, reader, load_us);
+            return format!(
+                "OK RELOADED {name} kind={kind} faults={faults} tests={tests} shards={shards} kept={kept} load_us={load_us}"
+            );
+        }
+        let resident = shared.registry.insert_manifest(name, reader, load_us);
+        format!(
+            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} shards={shards}"
+        )
+    } else if bytes.is_mapped() && sdd_store::is_binary(&bytes) {
         // Mapped load: checksum the image now (faulting every page, so
         // corruption surfaces at LOAD exactly as in owned mode) but defer
         // the decode to the first DIAG. The registry keeps the mapping;
         // resident decoded bytes are 0 until a request warms the entry.
-        return match SddbReader::open(&bytes) {
-            Ok(reader) => {
-                let (kind, faults, tests) = (reader.kind().name(), reader.faults(), reader.tests());
-                let mapped = bytes.len();
-                let load_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let resident = shared.registry.insert_image(name, bytes, load_us);
-                shared.registry.record_path(name, path);
-                format!(
-                    "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} mode=mapped mapped={mapped}"
-                )
-            }
-            Err(e) => err_reply(&e.to_string()),
+        let (kind, faults, tests) = match SddbReader::open(&bytes) {
+            Ok(reader) => (reader.kind().name(), reader.faults(), reader.tests()),
+            Err(e) => return err_reply(&e.to_string()),
         };
-    }
-    let dictionary = if sdd_store::is_binary(&bytes) {
-        sdd_store::decode(&bytes)
+        let mapped = bytes.len();
+        let load_us = elapsed_us();
+        let resident = shared.registry.insert_image(name, bytes, load_us);
+        format!(
+            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} mode=mapped mapped={mapped}"
+        )
     } else {
-        sdd_store::read_same_different_auto(&bytes).map(StoredDictionary::SameDifferent)
-    };
-    match dictionary {
-        Ok(d) => {
-            let kind = d.kind().name();
-            let (faults, tests) = (d.fault_count(), d.test_count());
-            let load_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let resident = shared.registry.insert(name, d, load_us);
-            shared.registry.record_path(name, path);
-            format!(
-                "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us}"
-            )
-        }
-        Err(e) => err_reply(&e.to_string()),
-    }
-}
-
-/// Re-opens the artifact a dictionary was loaded from — the post-patch
-/// refresh path. A sharded entry keeps every resident shard whose manifest
-/// record is byte-for-byte unchanged (only patched shards go cold); a
-/// whole dictionary is simply re-loaded through [`load_reply`].
-fn reload_reply(name: &str, shared: &Arc<Shared>) -> String {
-    let Some(path) = shared.registry.source_path(name) else {
-        return err_reply(&format!(
-            "unknown dictionary {name:?}: RELOAD needs a prior LOAD"
-        ));
-    };
-    let start = Instant::now();
-    let bytes = match sdd_store::read_dictionary_bytes(&path, MmapMode::Off) {
-        Ok(bytes) => bytes,
-        Err(e) => return err_reply(&e.to_string()),
-    };
-    if sdd_store::is_manifest(&bytes) {
-        return match ShardedReader::open_with(&path, shared.mmap) {
-            Ok(reader) => {
-                let m = reader.manifest();
-                let (kind, faults, tests, shards) =
-                    (m.kind.name(), m.faults, m.tests, reader.shard_count());
-                let load_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let kept = shared.registry.reload_manifest(name, reader, load_us);
-                format!(
-                    "OK RELOADED {name} kind={kind} faults={faults} tests={tests} shards={shards} kept={kept} load_us={load_us}"
-                )
-            }
-            Err(e) => err_reply(&e.to_string()),
+        let decoded = if sdd_store::is_binary(&bytes) {
+            sdd_store::decode(&bytes)
+        } else {
+            sdd_store::read_same_different_auto(&bytes).map(StoredDictionary::SameDifferent)
         };
-    }
-    // Whole files replace their entry outright: the artifact was rewritten
+        let d = match decoded {
+            Ok(d) => d,
+            Err(e) => return err_reply(&e.to_string()),
+        };
+        let kind = d.kind().name();
+        let (faults, tests) = (d.fault_count(), d.test_count());
+        let load_us = elapsed_us();
+        let resident = shared.registry.insert(name, d, load_us);
+        format!(
+            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us}"
+        )
+    };
+    shared.registry.record_path(name, path);
+    // A whole file replaces its entry outright: the artifact was rewritten
     // atomically as one image, so there is no sibling to keep.
-    let reply = load_reply(name, &path, shared);
     match reply.strip_prefix("OK LOADED") {
-        Some(rest) => format!("OK RELOADED{rest} kept=0"),
-        None => reply,
+        Some(rest) if reload => format!("OK RELOADED{rest} kept=0"),
+        _ => reply,
     }
 }
 
@@ -1408,32 +1116,17 @@ fn diag_reply(
     scratch: &mut Scratch,
     clock: &RequestClock,
 ) -> String {
-    match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => {
-            shared.diagnoses.fetch_add(1, Ordering::Relaxed);
-            match diagnose(&dictionary, obs, scratch) {
-                Ok(reply) => reply,
-                Err(e) => err_reply(&e.to_string()),
-            }
-        }
-        Fetched::WholeCold(image) => {
-            shared.diagnoses.fetch_add(1, Ordering::Relaxed);
-            match fetch_whole(name, &image, shared)
-                .and_then(|dictionary| diagnose(&dictionary, obs, scratch))
-            {
-                Ok(reply) => reply,
-                Err(e) => err_reply(&e.to_string()),
-            }
-        }
+    let diagnosed = match shared.registry.get(name) {
+        Fetched::Whole(dictionary) => diagnose(&dictionary, obs, scratch),
+        Fetched::WholeCold(image) => fetch_whole(name, &image, shared)
+            .and_then(|dictionary| diagnose(&dictionary, obs, scratch)),
         Fetched::Sharded(reader) => {
-            shared.diagnoses.fetch_add(1, Ordering::Relaxed);
-            match diagnose_sharded_reply(name, &reader, obs, shared, scratch, clock) {
-                Ok(reply) => reply,
-                Err(e) => err_reply(&e.to_string()),
-            }
+            diagnose_sharded_reply(name, &reader, obs, shared, scratch, clock)
         }
-        Fetched::Missing => err_reply(&format!("no dictionary loaded as {name:?}")),
-    }
+        Fetched::Missing => return err_reply(&format!("no dictionary loaded as {name:?}")),
+    };
+    shared.diagnoses.fetch_add(1, Ordering::Relaxed);
+    diagnosed.unwrap_or_else(|e| err_reply(&e.to_string()))
 }
 
 /// Fetches one shard: the resident copy when warm, else loads the shard
@@ -1446,7 +1139,7 @@ fn fetch_shard(
     index: usize,
     shared: &Arc<Shared>,
 ) -> Result<Arc<StoredDictionary>, SddError> {
-    if let Some(dictionary) = shared.registry.resident_shard(name, index) {
+    if let Some(dictionary) = shared.registry.resident_shard(name, reader, index) {
         return Ok(dictionary);
     }
     let (image, dictionary) = reader.load_shard_with_image(index)?;
@@ -1462,12 +1155,12 @@ fn fetch_shard(
 /// [`SddError::Truncated`], never a fault on a vanished page.
 fn fetch_whole(
     name: &str,
-    image: &DictBytes,
+    image: &Arc<DictBytes>,
     shared: &Arc<Shared>,
 ) -> Result<Arc<StoredDictionary>, SddError> {
     image.revalidate()?;
     let dictionary = sdd_store::decode(image.as_slice())?;
-    Ok(shared.registry.insert_decoded(name, dictionary))
+    Ok(shared.registry.insert_decoded(name, image, dictionary))
 }
 
 /// Do two cone bitmaps share an output?
@@ -1528,7 +1221,8 @@ fn diagnose_sharded_reply(
         // Failing outputs need one reference dictionary (shards share
         // per-test output dimensions); prefer a warm shard, else the first
         // cold one that still loads.
-        let mut reference = (0..count).find_map(|i| shared.registry.resident_shard(name, i));
+        let mut reference =
+            (0..count).find_map(|i| shared.registry.resident_shard(name, reader, i));
         if reference.is_none() {
             for (index, failure) in failures.iter_mut().enumerate() {
                 match fetch_shard(name, reader, index, shared) {
@@ -1561,7 +1255,7 @@ fn diagnose_sharded_reply(
             // Out of time: shards already resident still join the merge (a
             // registry hit is a lock and a clone, not I/O); cold shards
             // become degraded coverage instead of a blown deadline.
-            match shared.registry.resident_shard(name, index) {
+            match shared.registry.resident_shard(name, reader, index) {
                 Some(d) => fetched.push((fault_start, d)),
                 None => failures[index] = Some("deadline"),
             }
@@ -1606,79 +1300,6 @@ fn diagnose_sharded_reply(
     ))
 }
 
-/// Corpus lines of an in-flight `VOLUME` request, pulled from the
-/// connection under the same poll/idle discipline as request lines: a
-/// partial line stays buffered across poll ticks, a shutdown or stall
-/// mid-corpus surfaces as a transport error — which aborts the request and
-/// the connection, never wedges the worker.
-struct WireLines<'a> {
-    reader: &'a mut BufReader<TcpStream>,
-    shared: &'a Shared,
-    remaining: usize,
-    line: String,
-    last_line: Instant,
-}
-
-impl<'a> WireLines<'a> {
-    fn new(reader: &'a mut BufReader<TcpStream>, shared: &'a Shared, count: usize) -> Self {
-        Self {
-            reader,
-            shared,
-            remaining: count,
-            line: String::new(),
-            last_line: Instant::now(),
-        }
-    }
-}
-
-impl Iterator for WireLines<'_> {
-    type Item = io::Result<String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
-                return Some(Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "server shutting down mid-corpus",
-                )));
-            }
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => {
-                    return Some(Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "client closed mid-corpus",
-                    )))
-                }
-                Ok(_) => {
-                    self.remaining -= 1;
-                    self.last_line = Instant::now();
-                    let text = self.line.trim_end_matches(['\r', '\n']).to_owned();
-                    self.line.clear();
-                    return Some(Ok(text));
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Poll tick; any partial line stays buffered in `line`.
-                    if self.last_line.elapsed() >= self.shared.limits.idle_timeout {
-                        return Some(Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "idle timeout mid-corpus",
-                        )));
-                    }
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
 /// The serve-side [`ShardSource`]: shards fetch lazily through the LRU
 /// registry, so a warm shard costs a registry hit and a cold one loads
 /// (and may evict elsewhere) — exactly the `DIAG` economics, applied per
@@ -1712,7 +1333,9 @@ impl ShardSource for RegistrySource<'_> {
         fetch_shard(self.name, &self.reader, shard, self.shared).map_err(|e| FetchError::from(&e))
     }
     fn resident(&self, shard: usize) -> Option<Arc<StoredDictionary>> {
-        self.shared.registry.resident_shard(self.name, shard)
+        self.shared
+            .registry
+            .resident_shard(self.name, &self.reader, shard)
     }
     fn fault_cone(&self, fault: usize) -> Option<&BitVec> {
         let shards = &self.reader.manifest().shards;
@@ -1725,119 +1348,21 @@ impl ShardSource for RegistrySource<'_> {
     }
 }
 
-/// Serves one `VOLUME` request: reads the counted corpus lines off the
-/// connection and streams them through [`sdd_volume::run`] against the
-/// named dictionary. The reply is `OK VOLUME <lines>`, one
+/// The usage line a malformed `VOLUME` header is answered with.
+pub(crate) const VOLUME_USAGE: &str =
+    "usage: VOLUME <dict> <lines> [seed=N] [threshold=F] [budget_ms=N]";
+
+/// Serves one `VOLUME` request whose counted corpus lines the reactor
+/// already read off the wire: a worker streams them through
+/// [`sdd_volume::run`] against the named dictionary and appends the
+/// complete framed reply to `out`. The reply is `OK VOLUME <lines>`, one
 /// verdict-prefixed JSON record per corpus record, then
 /// `OK SUMMARY <json>` — stripping the verdict tokens recovers the exact
 /// JSONL report the `sdd volume` CLI writes for the same corpus.
 ///
-/// A request that fails *after* the count is known (unknown dictionary,
-/// bad option) still drains its corpus lines before the `ERR` reply, so
-/// the line protocol stays in sync for the next request.
-/// The usage line both `VOLUME` executors reply with on a malformed header.
-pub(crate) const VOLUME_USAGE: &str =
-    "usage: VOLUME <dict> <lines> [seed=N] [threshold=F] [budget_ms=N]";
-
-/// The `VOLUME` defaults for this server: the per-device budget (not
-/// per-request — a corpus is long-running by design) starts from the
-/// configured request deadline.
-pub(crate) fn default_volume_options(shared: &Shared) -> VolumeOptions {
-    VolumeOptions {
-        budget: shared
-            .limits
-            .request_deadline
-            .map_or_else(Budget::unlimited, Budget::deadline),
-        ..VolumeOptions::default()
-    }
-}
-
-/// Applies one `key=value` option token of a `VOLUME` request; `false`
-/// means the token is unknown or unparsable (an `ERR bad option` to the
-/// caller).
-pub(crate) fn apply_volume_option(options: &mut VolumeOptions, token: &str) -> bool {
-    match token.split_once('=') {
-        Some(("seed", v)) => v.parse().map(|seed| options.seed = seed).is_ok(),
-        Some(("threshold", v)) => v.parse().map(|t| options.threshold = t).is_ok(),
-        Some(("budget_ms", v)) => v
-            .parse()
-            .map(|ms| options.budget = Budget::deadline(Duration::from_millis(ms)))
-            .is_ok(),
-        _ => false,
-    }
-}
-
-fn volume_reply(
-    tokens: &mut std::str::SplitWhitespace<'_>,
-    shared: &Arc<Shared>,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
-    let (name, count) = match (tokens.next(), tokens.next().map(str::parse::<usize>)) {
-        (Some(name), Some(Ok(count))) => (name, count),
-        _ => return writeln!(writer, "{}", err_reply(VOLUME_USAGE)),
-    };
-    // Drains the already-promised corpus lines, then reports the failure.
-    let drain = |reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, reply: String| {
-        for line in WireLines::new(reader, shared, count) {
-            line?;
-        }
-        writeln!(writer, "{reply}")
-    };
-    let mut options = default_volume_options(shared);
-    for token in tokens {
-        if !apply_volume_option(&mut options, token) {
-            return drain(reader, writer, err_reply(&format!("bad option {token:?}")));
-        }
-    }
-    let source: Box<dyn ShardSource + '_> = match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-        Fetched::WholeCold(image) => match fetch_whole(name, &image, shared) {
-            Ok(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-            Err(e) => return drain(reader, writer, err_reply(&e.to_string())),
-        },
-        Fetched::Sharded(shard_reader) => Box::new(RegistrySource {
-            name,
-            reader: shard_reader,
-            shared,
-        }),
-        Fetched::Missing => {
-            return drain(
-                reader,
-                writer,
-                err_reply(&format!("no dictionary loaded as {name:?}")),
-            )
-        }
-    };
-    writeln!(writer, "OK VOLUME {count}")?;
-    let mut lines = WireLines::new(reader, shared, count);
-    let mut buffered = io::BufWriter::new(&mut *writer);
-    let summary = sdd_volume::run(
-        source.as_ref(),
-        &mut lines,
-        &mut WireSink(&mut buffered),
-        &options,
-    )?;
-    buffered.flush()?;
-    drop(buffered);
-    shared
-        .diagnoses
-        .fetch_add(summary.devices as u64, Ordering::Relaxed);
-    shared
-        .partial
-        .fetch_add(summary.partial as u64, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Executes one `VOLUME` request whose corpus lines were already buffered
-/// off the wire — the reactor path, where the event loop collects the
-/// counted lines and a worker runs the engine — appending the complete
-/// framed reply to `out`.
-///
-/// Wire bytes match the threaded streaming path exactly: a failure after
-/// the count was known (bad option, unknown dictionary) has consumed the
-/// corpus and yields a single `ERR` line, success yields
-/// `OK VOLUME <n>`, the verdict-prefixed records, and `OK SUMMARY`.
+/// A failure after the count was known (bad option, unknown dictionary)
+/// has still consumed the corpus and yields a single `ERR` line, so the
+/// line protocol stays in sync for the next request.
 pub(crate) fn execute_volume(
     request: &str,
     corpus: Vec<String>,
@@ -1852,9 +1377,26 @@ pub(crate) fn execute_volume(
         // corpus for them; this arm is a defensive byte-identical fallback.
         _ => return push_line(out, &err_reply(VOLUME_USAGE)),
     };
-    let mut options = default_volume_options(shared);
+    // The per-device budget (not per-request — a corpus is long-running by
+    // design) defaults to the configured request deadline.
+    let mut options = VolumeOptions {
+        budget: shared
+            .limits
+            .request_deadline
+            .map_or_else(Budget::unlimited, Budget::deadline),
+        ..VolumeOptions::default()
+    };
     for token in tokens {
-        if !apply_volume_option(&mut options, token) {
+        let applied = match token.split_once('=') {
+            Some(("seed", v)) => v.parse().map(|seed| options.seed = seed).is_ok(),
+            Some(("threshold", v)) => v.parse().map(|t| options.threshold = t).is_ok(),
+            Some(("budget_ms", v)) => v
+                .parse()
+                .map(|ms| options.budget = Budget::deadline(Duration::from_millis(ms)))
+                .is_ok(),
+            _ => false,
+        };
+        if !applied {
             return push_line(out, &err_reply(&format!("bad option {token:?}")));
         }
     }
@@ -2081,6 +1623,8 @@ impl Client {
 mod tests {
     use super::*;
     use sdd_core::PassFailDictionary;
+    use std::ops::Range;
+    use std::path::Path;
 
     fn pf() -> StoredDictionary {
         StoredDictionary::PassFail(PassFailDictionary::build(
@@ -2160,7 +1704,7 @@ mod tests {
         let poisoner = Arc::clone(&registry);
         // Panic while holding the registry lock, the way a crashing worker
         // mid-insert would.
-        let result = thread::spawn(move || {
+        let result = std::thread::spawn(move || {
             let _guard = poisoner.inner.lock().unwrap();
             panic!("deliberate poison");
         })
@@ -2187,6 +1731,8 @@ mod tests {
         // Cap fits one shard but not both.
         let registry = Registry::new(b0.max(b1));
         registry.insert_manifest("paper", ShardedReader::open(&manifest_path).unwrap(), 9);
+        // Shards load through the reader the entry holds, as a request's do.
+        let reader = fetch_sharded(&registry, "paper");
         let stats = registry.stats();
         assert_eq!((stats.resident_shards, stats.total_shards), (0, 2));
         assert_eq!(stats.bytes, 0, "a cold manifest costs nothing");
@@ -2206,12 +1752,92 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries[0].shards[0].status, "evicted");
         assert_eq!(stats.entries[0].shards[1].status, "resident");
-        assert!(registry.resident_shard("paper", 0).is_none());
-        assert!(registry.resident_shard("paper", 1).is_some());
+        assert!(registry.resident_shard("paper", &reader, 0).is_none());
+        assert!(registry.resident_shard("paper", &reader, 1).is_some());
         assert!(
             matches!(registry.get("paper"), Fetched::Sharded(_)),
             "the entry itself survives shard eviction"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes the paper example as the shard set `dir/<stem>.sddm`, opened.
+    fn shard_set(dir: &Path, stem: &str, ranges: &[Range<usize>]) -> ShardedReader {
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join(format!("{stem}.sddm"));
+        sdd_store::write_sharded(&path, &pf(), ranges, None).unwrap();
+        ShardedReader::open(&path).unwrap()
+    }
+
+    /// The shard set registered under `name`, fetched as a request does.
+    fn fetch_sharded(registry: &Registry, name: &str) -> Arc<ShardedReader> {
+        match registry.get(name) {
+            Fetched::Sharded(reader) => reader,
+            _ => panic!("{name} is not a sharded entry"),
+        }
+    }
+
+    #[test]
+    fn a_decode_racing_a_reload_is_not_cached_under_the_new_image() {
+        let registry = Registry::new(64 << 20);
+        let image = || DictBytes::Owned(sdd_store::encode(&pf()).unwrap());
+        registry.insert_image("a", image(), 1);
+        let Fetched::WholeCold(old) = registry.get("a") else {
+            panic!("an image-backed entry starts cold");
+        };
+        // A RELOAD swaps in a new image while a DIAG decodes the old one.
+        registry.insert_image("a", image(), 2);
+        let served = registry.insert_decoded("a", &old, pf());
+        assert_eq!(served.fault_count(), pf().fault_count(), "still served");
+        let Fetched::WholeCold(new) = registry.get("a") else {
+            panic!("the reloaded image must stay cold, not adopt the old decode");
+        };
+        assert!(!Arc::ptr_eq(&new, &old));
+        assert_eq!(registry.stats().bytes, 0);
+        // A decode of the image the entry holds is cached as before.
+        registry.insert_decoded("a", &new, pf());
+        assert!(is_whole(&registry.get("a")));
+        assert_eq!(registry.stats().bytes, pf().approx_bytes());
+    }
+
+    #[test]
+    fn a_shard_loaded_through_a_reloaded_manifest_is_not_cached() {
+        let dir = std::env::temp_dir().join(format!("sdd-serve-reload-{}", std::process::id()));
+        let registry = Registry::new(64 << 20);
+        registry.insert_manifest("paper", shard_set(&dir, "old", &[0..2, 2..4]), 0);
+        let old = fetch_sharded(&registry, "paper");
+        let (image, d0) = old.load_shard_with_image(0).unwrap();
+        // A RELOAD lands while the request loads the old shard 0 (faults
+        // 0..2); the new manifest's slot 0 covers faults 0..1 only.
+        registry.reload_manifest("paper", shard_set(&dir, "new", &[0..1, 1..4]), 0);
+        let served = registry.insert_shard("paper", &old, 0, d0, image);
+        assert_eq!(served.fault_count(), 2, "the request keeps its own shard");
+        let stats = registry.stats();
+        assert_eq!((stats.resident_shards, stats.bytes), (0, 0), "cold");
+        // Once the new slot 0 is warm, the old reader still cannot see it.
+        let new = fetch_sharded(&registry, "paper");
+        let (image, d0) = new.load_shard_with_image(0).unwrap();
+        registry.insert_shard("paper", &new, 0, d0, image);
+        let warm = registry.resident_shard("paper", &new, 0);
+        assert_eq!(warm.map(|d| d.fault_count()), Some(1));
+        assert!(registry.resident_shard("paper", &old, 0).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shard_racing_a_whole_load_does_not_resurrect_the_shard_set() {
+        let dir = std::env::temp_dir().join(format!("sdd-serve-replace-{}", std::process::id()));
+        let registry = Registry::new(64 << 20);
+        registry.insert_manifest("paper", shard_set(&dir, "paper", &[0..2, 2..4]), 0);
+        let reader = fetch_sharded(&registry, "paper");
+        let (image, d0) = reader.load_shard_with_image(0).unwrap();
+        // A whole-file LOAD replaces the name while the shard loads.
+        let whole = registry.insert("paper", pf(), 0);
+        registry.insert_shard("paper", &reader, 0, d0, image);
+        assert!(is_whole(&registry.get("paper")), "the whole LOAD stands");
+        let stats = registry.stats();
+        assert_eq!((stats.dicts, stats.bytes), (1, whole));
+        assert_eq!(stats.total_shards, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

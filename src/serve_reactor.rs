@@ -1,14 +1,12 @@
-//! The epoll-reactor serve transport (see the [`crate::serve`] module docs,
-//! "Transport backends").
+//! The serve transport (see the [`crate::serve`] module docs, "Transport").
 //!
 //! One reactor thread owns every socket through a [`crate::reactor::Poller`]:
 //! it accepts, reads complete request lines, answers the cheap inline verbs
 //! (`STATS`, `QUIT`, `SHUTDOWN`, malformed `VOLUME` headers) on the spot,
 //! and hands CPU-bound work to the worker pool over an SPMC job queue.
-//! Workers execute through the exact same [`crate::serve::execute_line`] /
-//! [`crate::serve::execute_volume`] core the threaded backend uses — so the
-//! wire bytes are identical — and push finished reply buffers to a
-//! completion box that wakes the reactor through an eventfd.
+//! Workers execute through [`crate::serve::execute_line`] and
+//! [`crate::serve::execute_volume`] and push finished reply buffers to a
+//! completion box that wakes the reactor through a [`Waker`].
 //!
 //! Ordering guarantee: a connection has **at most one job in flight**, and
 //! consecutive worker-verb lines are folded into one job executed in order,
@@ -22,8 +20,8 @@
 //! a write stalled past the configured write timeout is connection death.
 //!
 //! There is no poll tick anywhere: idle cutoffs and write stalls are
-//! computed deadlines fed to `epoll_wait`, and shutdown rides the existing
-//! listener poke.
+//! computed deadlines fed to the poller's wait, and shutdown rides the
+//! existing listener poke.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -43,7 +41,7 @@ use crate::serve::{
 
 /// Poller token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the completion-box eventfd.
+/// Poller token of the completion-box waker.
 const TOKEN_WAKER: u64 = 1;
 /// First connection token; connection `i` registers as `TOKEN_BASE + i`.
 const TOKEN_BASE: u64 = 2;
@@ -138,8 +136,8 @@ impl JobQueue {
     }
 }
 
-/// Where workers park finished replies; the eventfd waker kicks the
-/// reactor out of `epoll_wait` to collect them.
+/// Where workers park finished replies; the waker kicks the reactor out of
+/// its poller wait to collect them.
 struct CompletionBox {
     finished: Mutex<Vec<Completion>>,
     waker: Waker,
@@ -150,8 +148,8 @@ impl CompletionBox {
         let mut finished = self.finished.lock().unwrap_or_else(|e| e.into_inner());
         finished.push(completion);
         drop(finished);
-        // Unconditional: eventfd writes coalesce, and a missed wakeup
-        // would strand a reply until the next unrelated event.
+        // Unconditional: pending wakes coalesce into one event, and a
+        // missed wakeup would strand a reply until the next unrelated event.
         self.waker.wake();
     }
 
@@ -215,8 +213,8 @@ fn is_worker_verb(request: &str) -> bool {
 }
 
 /// Splits every complete line out of `inbuf` into `pending`, stripping
-/// trailing `\r`s exactly like the threaded backend's `read_line` + trim.
-/// `false` means the bytes were not UTF-8 — connection death there too.
+/// trailing `\r`s. `false` means the bytes were not UTF-8 — connection
+/// death.
 fn parse_lines(conn: &mut Conn) -> bool {
     let mut start = 0;
     while let Some(offset) = conn.inbuf[start..].iter().position(|&b| b == b'\n') {
@@ -389,7 +387,7 @@ fn advance_step(shared: &Arc<Shared>, conn: &mut Conn, processed: &mut u64) -> S
     }
 }
 
-/// Looks up the connection slot an epoll event points at, tolerating an
+/// Looks up the connection slot a poller event points at, tolerating an
 /// out-of-range token or a vacant slot by returning `None` — the event
 /// loop's lookups must degrade to a connection close, never a panic,
 /// because the reactor thread runs outside the per-request `catch_unwind`.
@@ -431,7 +429,7 @@ pub(crate) fn spawn(
     shared: Arc<Shared>,
 ) -> io::Result<(JoinHandle<()>, Vec<JoinHandle<()>>)> {
     listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
+    let mut poller = Poller::new()?;
     let waker = Waker::new()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
     poller.register(waker.fd(), TOKEN_WAKER, true, false)?;
@@ -465,9 +463,8 @@ pub(crate) fn spawn(
     Ok((handle, workers))
 }
 
-/// One pool worker: pops jobs, executes them through the shared verb core
-/// (with the same per-line panic containment the threaded backend has),
-/// and posts the reply bytes back.
+/// One pool worker: pops jobs, executes them through the verb core with
+/// per-request panic containment, and posts the reply bytes back.
 fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Shared>) {
     let mut scratch = Scratch::default();
     while let Some(job) = queue.pop() {
@@ -476,28 +473,15 @@ fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Share
             WorkItem::Lines(lines) => {
                 for line in &lines {
                     let clock = RequestClock::new(shared.limits.request_deadline);
-                    let before = out.len();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        execute_line(line, shared, &mut scratch, &clock, &mut out);
-                    }));
-                    if outcome.is_err() {
-                        // Same contract as the threaded backend: the
-                        // panicking request yields exactly one ERR line and
-                        // the connection (and worker) survive.
-                        out.truncate(before);
-                        push_line(&mut out, &err_reply("internal error: request panicked"));
-                    }
+                    contain(&mut out, |out| {
+                        execute_line(line, shared, &mut scratch, &clock, out);
+                    });
                 }
             }
             WorkItem::Volume { request, corpus } => {
-                let before = out.len();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    execute_volume(&request, corpus, shared, &mut out);
-                }));
-                if outcome.is_err() {
-                    out.truncate(before);
-                    push_line(&mut out, &err_reply("internal error: request panicked"));
-                }
+                contain(&mut out, |out| {
+                    execute_volume(&request, corpus, shared, out)
+                });
             }
         }
         completions.push(Completion {
@@ -505,6 +489,17 @@ fn worker_loop(queue: &JobQueue, completions: &CompletionBox, shared: &Arc<Share
             generation: job.generation,
             bytes: out,
         });
+    }
+}
+
+/// Appends one request's reply to `out` through `execute`. A request that
+/// panics yields exactly one `ERR` line instead, and the connection (and
+/// worker) survive.
+fn contain(out: &mut Vec<u8>, execute: impl FnOnce(&mut Vec<u8>)) {
+    let before = out.len();
+    if catch_unwind(AssertUnwindSafe(|| execute(&mut *out))).is_err() {
+        out.truncate(before);
+        push_line(out, &err_reply("internal error: request panicked"));
     }
 }
 
@@ -525,9 +520,9 @@ impl Reactor {
                     self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => {
-                    // epoll_wait only fails on programming errors; log and
+                    // The wait only fails on programming errors; log and
                     // back off instead of spinning a hot loop on one.
-                    eprintln!("sdd-serve: epoll wait failed: {e}");
+                    eprintln!("sdd-serve: poller wait failed: {e}");
                     thread::sleep(Duration::from_millis(100));
                 }
             }
@@ -684,7 +679,7 @@ impl Reactor {
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&self.read_buf[..n]);
                     if !parse_lines(conn) {
-                        return false; // not UTF-8: same fate as threaded
+                        return false; // not UTF-8
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
@@ -755,9 +750,9 @@ impl Reactor {
                 let in_flight = matches!(conn.state, ConnState::InFlight);
                 let awaiting = matches!(conn.state, ConnState::AwaitingCorpus { .. });
                 let out_pending = !conn.outbuf.is_empty();
-                // Close when the client died mid-corpus (same fate as the
-                // threaded backend), when a draining connection has nothing
-                // left to flush or finish, or at a fully-drained EOF.
+                // Close when the client died mid-corpus, when a draining
+                // connection has nothing left to flush or finish, or at a
+                // fully-drained EOF.
                 if (conn.read_eof && awaiting) || (conn.closing && !out_pending && !in_flight) {
                     true
                 } else {
@@ -805,8 +800,7 @@ impl Reactor {
 
     /// Enters shutdown: release the port immediately, discard buffered
     /// input everywhere, finish in-flight jobs, flush pending replies,
-    /// close everything else now — the reactor's translation of the
-    /// threaded backend's per-connection shutdown check.
+    /// close everything else now.
     fn start_drain(&mut self) {
         self.draining = true;
         if let Some(listener) = self.listener.take() {
@@ -831,7 +825,7 @@ impl Reactor {
     }
 
     /// The earliest pending deadline (idle cutoff or write stall) across
-    /// every connection — what replaces the threaded backend's poll tick.
+    /// every connection — how long the poller may sleep.
     fn next_timeout(&self) -> Option<Duration> {
         fn merge(deadline: &mut Option<Instant>, candidate: Instant) {
             *deadline = Some(deadline.map_or(candidate, |current| current.min(candidate)));

@@ -261,6 +261,10 @@ fn served_reload_after_patch_keeps_clean_shards_and_reranks() {
         .request(&format!("LOAD eco {}", manifest_path.display()))
         .unwrap();
     assert!(reply.starts_with("OK LOADED eco "), "{reply}");
+    let reply = client
+        .request(&format!("LOAD flat {}", whole_path.display()))
+        .unwrap();
+    assert!(reply.starts_with("OK LOADED flat "), "{reply}");
 
     // Warm every shard so RELOAD has resident state to carry over.
     let exp_new = Experiment::new(new.clone());
@@ -280,6 +284,10 @@ fn served_reload_after_patch_keeps_clean_shards_and_reranks() {
     client
         .request(&format!("DIAG eco {}", observations[0]))
         .unwrap();
+    let stale: Vec<String> = observations
+        .iter()
+        .map(|observation| client.request(&format!("DIAG flat {observation}")).unwrap())
+        .collect();
 
     // Patch both artifacts on disk behind the server's back.
     let before: Vec<String> = ShardedReader::open(&manifest_path)
@@ -307,20 +315,36 @@ fn served_reload_after_patch_keeps_clean_shards_and_reranks() {
     assert!(reply.contains(" shards=2 "), "{reply}");
     assert!(reply.contains(&format!(" kept={unchanged} ")), "{reply}");
 
-    // After the reload, DIAG against the patched shards is byte-identical
-    // to DIAG against the patched whole artifact.
+    // A whole artifact has no shards to keep: RELOAD swaps in the patched
+    // image outright.
+    let reply = client.request("RELOAD flat").unwrap();
+    assert!(reply.starts_with("OK RELOADED flat "), "{reply}");
+    assert!(reply.ends_with(" kept=0"), "{reply}");
+
+    // After the reloads, DIAG against the patched shards and against the
+    // reloaded whole artifact is byte-identical to DIAG against a fresh
+    // LOAD of the patched whole artifact.
     let reply = client
         .request(&format!("LOAD patched {}", whole_path.display()))
         .unwrap();
     assert!(reply.starts_with("OK LOADED patched "), "{reply}");
-    for observation in &observations {
+    let mut reranked = false;
+    for (observation, stale) in observations.iter().zip(&stale) {
         let sharded = client.request(&format!("DIAG eco {observation}")).unwrap();
         let whole = client
             .request(&format!("DIAG patched {observation}"))
             .unwrap();
+        let reloaded = client.request(&format!("DIAG flat {observation}")).unwrap();
         assert!(sharded.starts_with("OK DIAG "), "{sharded}");
         assert_eq!(sharded, whole);
+        assert_eq!(reloaded, whole);
+        reranked |= reloaded != *stale;
     }
+
+    assert!(
+        reranked,
+        "the patch changed no verdict, so RELOAD went untested"
+    );
 
     // RELOAD of a never-loaded name is a one-line error, not a hang.
     let reply = client.request("RELOAD ghost").unwrap();

@@ -1,15 +1,15 @@
 //! Pipelining byte-identity: a client that writes a whole burst of
 //! requests in one TCP send must read back exactly the bytes a client
-//! issuing the same requests one-at-a-time reads — on both transport
-//! backends, across `DIAG`, `BATCH`, `VOLUME` (with its inline corpus),
-//! a degraded `PARTIAL` diagnosis, and an error reply.
+//! issuing the same requests one-at-a-time reads — across `DIAG`,
+//! `BATCH`, `VOLUME` (with its inline corpus), a degraded `PARTIAL`
+//! diagnosis, and an error reply.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
 use same_different::dict::Procedure1Options;
-use same_different::serve::{serve, Client, ServeBackend, ServeConfig};
+use same_different::serve::{serve, Client, ServeConfig};
 use same_different::store::{self, save, StoredDictionary};
 use same_different::volume::{self, SynthSpec};
 use same_different::Experiment;
@@ -116,9 +116,9 @@ struct Fixture {
     degraded_obs: String,
 }
 
-fn fixture(tag: &str) -> Fixture {
+fn fixture() -> Fixture {
     let dir: PathBuf =
-        std::env::temp_dir().join(format!("sdd-serve-pipeline-{tag}-{}", std::process::id()));
+        std::env::temp_dir().join(format!("sdd-serve-pipeline-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     let exp = Experiment::new(same_different::netlist::library::c17());
@@ -249,10 +249,11 @@ fn script(fx: &Fixture) -> Vec<Step> {
     ]
 }
 
-fn check_backend(fx: &Fixture, backend: ServeBackend, expect_backend: &str) {
+#[test]
+fn pipelined_bursts_match_sequential_bytes() {
+    let fx = fixture();
     let handle = serve(&ServeConfig {
         workers: 2,
-        backend,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -266,13 +267,13 @@ fn check_backend(fx: &Fixture, backend: ServeBackend, expect_backend: &str) {
         .unwrap();
     assert!(reply.starts_with("OK LOADED"), "{reply}");
 
-    let steps = script(fx);
+    let steps = script(&fx);
     let sequential = run_script(handle.addr(), &steps, false);
     let pipelined = run_script(handle.addr(), &steps, true);
     assert_eq!(
         String::from_utf8_lossy(&sequential),
         String::from_utf8_lossy(&pipelined),
-        "pipelined replies must be byte-identical to sequential ({expect_backend})"
+        "pipelined replies must be byte-identical to sequential"
     );
     let text = String::from_utf8(sequential).unwrap();
     assert!(text.contains("OK DIAG "), "{text}");
@@ -285,29 +286,9 @@ fn check_backend(fx: &Fixture, backend: ServeBackend, expect_backend: &str) {
     assert!(text.ends_with("OK BYE\n"), "{text}");
 
     let stats = setup.request("STATS").unwrap();
-    assert!(
-        stats.contains(&format!(" backend={expect_backend} ")),
-        "{stats}"
-    );
+    assert!(stats.contains(" backend=reactor "), "{stats}");
     assert!(stats.contains(" pipelined="), "{stats}");
     assert_eq!(setup.request("SHUTDOWN").unwrap(), "OK BYE");
     handle.wait();
-}
-
-#[test]
-fn pipelined_bursts_match_sequential_bytes_on_the_threaded_backend() {
-    let fx = fixture("threaded");
-    check_backend(&fx, ServeBackend::Threaded, "threaded");
-    let _ = std::fs::remove_dir_all(&fx.dir);
-}
-
-#[test]
-fn pipelined_bursts_match_sequential_bytes_on_the_reactor_backend() {
-    if !same_different::reactor::supported() {
-        eprintln!("skipping: epoll reactor unsupported on this platform");
-        return;
-    }
-    let fx = fixture("reactor");
-    check_backend(&fx, ServeBackend::Reactor, "reactor");
     let _ = std::fs::remove_dir_all(&fx.dir);
 }
