@@ -2,7 +2,7 @@
 # Offline CI gate for the workspace. No network access required: the
 # workspace has no third-party dependencies.
 #
-#   ./ci.sh          full gate: build, test, fmt, doc, clippy
+#   ./ci.sh          full gate: build, test, examples, chaos, fmt, doc, clippy
 #   ./ci.sh quick    build + root-package tests only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -32,6 +32,16 @@ step "perfbench unit tests (the benchmark's own package)"
 # merge_shard_rankings and MaskedBitVec parsing; building and testing it
 # here makes an API change fail CI before it fails a benchmark run.
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
+step "examples (every one runs to completion)"
+# Each example under examples/ runs once with its default arguments. Most
+# assert their own result or fail on an error, so a nonzero exit fails CI;
+# together they take a few seconds in release.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--- $name"
+    cargo run --offline --release --quiet --example "$name" >/dev/null
+done
 
 step "chaos smoke (10 injected failure classes against a live server, JSON)"
 # Fixed seed + small circuit keeps this a seconds-long gate; the driver

@@ -23,7 +23,7 @@ use sdd_core::{
     replace_baselines_pass, select_baselines_once, PassFailDictionary, SameDifferentDictionary,
 };
 use sdd_fault::Fault;
-use sdd_logic::{PatternBlock, Prng};
+use sdd_logic::{MaskedBitVec, PatternBlock, Prng};
 use sdd_sim::{Engine, Partition};
 
 /// Times `iters` runs of `f` and prints the mean per-iteration time.
@@ -122,13 +122,15 @@ fn bench_dictionaries() {
 
     let sd = SameDifferentDictionary::build(&matrix, &baselines);
     let pf = PassFailDictionary::build(&matrix);
-    let observed = pf.signature(3).clone();
-    bench("diagnose_pass_fail_s641", 20, || pf.diagnose(&observed));
+    let observed = MaskedBitVec::from_known(pf.signature(3).clone());
+    bench("diagnose_pass_fail_s641", 20, || {
+        pf.diagnose_masked(&observed)
+    });
     let responses: Vec<_> = (0..matrix.test_count())
-        .map(|t| matrix.response(t, matrix.class(t, 3)))
+        .map(|t| MaskedBitVec::from_known(matrix.response(t, matrix.class(t, 3))))
         .collect();
     bench("diagnose_same_different_s641", 20, || {
-        sd.diagnose(&responses)
+        sd.diagnose_masked(&responses)
     });
 }
 

@@ -5,19 +5,22 @@
 //! behaviour with each stored fault and return the best matches — but they
 //! compare different amounts of information:
 //!
-//! * [`FullDictionary::diagnose`] compares complete output vectors;
-//! * [`PassFailDictionary::diagnose`] compares pass/fail signatures;
-//! * [`SameDifferentDictionary::diagnose`] compares same/different
+//! * [`FullDictionary::diagnose_masked`] compares complete output vectors;
+//! * [`PassFailDictionary::diagnose_masked`] compares pass/fail signatures;
+//! * [`SameDifferentDictionary::diagnose_masked`] compares same/different
 //!   signatures computed against the stored baselines.
 //!
-//! Every entry point also has a `_masked` variant taking ternary
-//! [`MaskedBitVec`] observations — the shape corrupted tester datalogs
-//! actually produce (see `sdd_sim::CorruptionModel`). Masked diagnosis never
-//! panics on partial data: unknown bits are simply excluded from the
-//! comparison, and the result reports how much evidence supported it.
+//! Observations are ternary [`MaskedBitVec`]s — the shape corrupted tester
+//! datalogs actually produce (see `sdd_sim::CorruptionModel`). Clean data
+//! is the fully known case ([`MaskedBitVec::from_known`]): the best set is
+//! the exact matches when there are any, else the nearest faults, and an
+//! exact match lands on the [`MatchQuality::Exact`] rung. Unknown bits are
+//! excluded from the comparison instead of failing it, and the report says
+//! how much evidence supported it. Every ranking derives its rung and best
+//! set through [`NoisyDiagnosisReport::from_ranking`].
 //!
-//! [`two_phase_diagnose`] combines a cheap dictionary screen with exact
-//! fault simulation of the surviving candidates (the hybrid of the
+//! [`two_phase_diagnose_masked`] combines a cheap dictionary screen with
+//! exact fault simulation of the surviving candidates (the hybrid of the
 //! paper's references 8, 12 and 14).
 
 use sdd_fault::{FaultId, FaultUniverse};
@@ -27,46 +30,22 @@ use sdd_sim::reference;
 
 use crate::{FullDictionary, PassFailDictionary, SameDifferentDictionary};
 
-/// The outcome of matching an observed behaviour against a dictionary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiagnosisReport {
-    /// Faults whose stored behaviour matches the observation exactly
-    /// (positions into the dictionary's fault list).
-    pub exact: Vec<usize>,
-    /// Faults at minimum distance from the observation (equals `exact`
-    /// when exact matches exist).
-    pub nearest: Vec<usize>,
-    /// The minimum distance (0 when exact matches exist).
-    pub distance: usize,
-}
-
-impl DiagnosisReport {
-    /// The best candidate set: exact matches if any, else nearest.
-    pub fn candidates(&self) -> &[usize] {
-        if self.exact.is_empty() {
-            &self.nearest
-        } else {
-            &self.exact
-        }
-    }
-}
-
-/// How much of the observation supported a noisy diagnosis — the
-/// degradation ladder masked matching walks down as data gets worse.
+/// How much of the observation supported a diagnosis — the degradation
+/// ladder matching walks down as data gets worse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MatchQuality {
-    /// Every bit was known and the best candidates match all of them —
-    /// as strong as a clean-data exact match.
+    /// Every bit was known and the best candidates match all of them: an
+    /// exact match on clean data.
     Exact,
     /// Some bits were unknown, but the best candidates agree with every
     /// known bit: consistent under the mask.
     ConsistentUnderMask,
     /// No candidate explains all known bits; the report is a best-effort
-    /// ranking by known-bit mismatches.
+    /// ranking by known-bit mismatches (on clean data: the nearest match).
     Ranked,
 }
 
-/// One candidate fault in a noisy diagnosis, with the evidence behind it.
+/// One candidate fault in a diagnosis, with the evidence behind it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredCandidate {
     /// Position in the dictionary's fault list.
@@ -93,16 +72,15 @@ impl ScoredCandidate {
     }
 }
 
-/// The outcome of matching a partial/noisy observation against a
-/// dictionary: a full ranking instead of a bare candidate set, because with
-/// missing data the caller needs to see how steeply confidence falls off.
+/// The outcome of matching an observation against a dictionary: a full
+/// ranking instead of a bare candidate set, because with missing data the
+/// caller needs to see how steeply confidence falls off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoisyDiagnosisReport {
     /// Every fault, ranked by known-bit mismatches (ties in fault order).
     pub ranking: Vec<ScoredCandidate>,
     /// Faults tied at the minimum mismatch count (positions into the
-    /// dictionary's fault list) — the noisy analogue of
-    /// [`DiagnosisReport::candidates`].
+    /// dictionary's fault list): the exact matches, or else the nearest.
     pub best: Vec<usize>,
     /// Where the result landed on the degradation ladder.
     pub quality: MatchQuality,
@@ -112,7 +90,7 @@ pub struct NoisyDiagnosisReport {
 }
 
 impl NoisyDiagnosisReport {
-    /// The best candidate set, mirroring [`DiagnosisReport::candidates`].
+    /// The best candidate set.
     pub fn candidates(&self) -> &[usize] {
         &self.best
     }
@@ -122,22 +100,20 @@ impl NoisyDiagnosisReport {
         self.ranking.first().map_or(0, |c| c.mismatches)
     }
 
-    fn from_scores(mut scored: Vec<ScoredCandidate>, fully_known: bool) -> Self {
-        scored.sort_by(|a, b| a.mismatches.cmp(&b.mismatches).then(a.fault.cmp(&b.fault)));
-        let min = scored.first().map_or(0, |c| c.mismatches);
-        let best: Vec<usize> = scored
+    /// Builds the report for a ranking already sorted by `(mismatches,
+    /// fault)`: the best set is the run tied at the minimum, and the rung
+    /// follows from that minimum and whether the observation was fully
+    /// known. Every diagnosis entry point ends here.
+    pub fn from_ranking(ranking: Vec<ScoredCandidate>, fully_known: bool) -> Self {
+        let (quality, known) = ladder(&ranking, fully_known);
+        let min = ranking.first().map_or(0, |c| c.mismatches);
+        let best = ranking
             .iter()
             .take_while(|c| c.mismatches == min)
             .map(|c| c.fault)
             .collect();
-        let known = scored.first().map_or(0, |c| c.known);
-        let quality = match (min, fully_known) {
-            (0, true) => MatchQuality::Exact,
-            (0, false) => MatchQuality::ConsistentUnderMask,
-            _ => MatchQuality::Ranked,
-        };
         Self {
-            ranking: scored,
+            ranking,
             best,
             quality,
             known,
@@ -145,79 +121,39 @@ impl NoisyDiagnosisReport {
     }
 }
 
-/// Matches an observed signature against stored per-fault signatures by
-/// Hamming distance.
-///
-/// # Errors
-///
-/// Returns [`SddError::Empty`] when there are no signatures to match, and
-/// [`SddError::WidthMismatch`] when `observed`'s width differs from the
-/// signatures'.
-pub fn match_signatures(
-    signatures: &[BitVec],
-    observed: &BitVec,
-) -> Result<DiagnosisReport, SddError> {
-    if signatures.is_empty() {
-        return Err(SddError::Empty {
-            context: "signature dictionary",
-        });
-    }
-    let mut distance = usize::MAX;
-    let mut nearest = Vec::new();
-    for (fault, signature) in signatures.iter().enumerate() {
-        let d = signature
-            .hamming_distance(observed)
-            .ok_or(SddError::WidthMismatch {
-                context: "observed signature",
-                expected: signature.len(),
-                actual: observed.len(),
-            })?;
-        if d < distance {
-            distance = d;
-            nearest.clear();
-        }
-        if d == distance {
-            nearest.push(fault);
-        }
-    }
-    let exact = if distance == 0 {
-        nearest.clone()
-    } else {
-        Vec::new()
+/// The rung and known-bit count of a sorted ranking: a minimum of zero
+/// mismatches is [`MatchQuality::Exact`] on fully known data and
+/// [`MatchQuality::ConsistentUnderMask`] under a mask; anything else is
+/// [`MatchQuality::Ranked`].
+fn ladder(ranking: &[ScoredCandidate], fully_known: bool) -> (MatchQuality, usize) {
+    let (min, known) = ranking.first().map_or((0, 0), |c| (c.mismatches, c.known));
+    let quality = match (min, fully_known) {
+        (0, true) => MatchQuality::Exact,
+        (0, false) => MatchQuality::ConsistentUnderMask,
+        _ => MatchQuality::Ranked,
     };
-    Ok(DiagnosisReport {
-        exact,
-        nearest,
-        distance,
-    })
+    (quality, known)
 }
 
-/// Matches a partial observed signature against stored per-fault signatures
-/// by masked Hamming distance: only known observation bits count.
+/// Matches a (possibly partial) observed signature against stored
+/// per-fault signatures by masked Hamming distance: only known observation
+/// bits count.
 ///
 /// # Errors
 ///
 /// Returns [`SddError::Empty`] when there are no signatures to match, and
-/// [`SddError::WidthMismatch`] when `observed`'s width differs from the
-/// signatures'.
+/// [`SddError::WidthMismatch`] (expecting the signatures' width) when
+/// `observed`'s width differs from the signatures'.
 pub fn match_signatures_masked(
     signatures: &[BitVec],
     observed: &MaskedBitVec,
 ) -> Result<NoisyDiagnosisReport, SddError> {
-    let mut scratch = Vec::new();
-    let (quality, known) = match_signatures_masked_into(signatures, observed, &mut scratch)?;
-    let min = scratch.first().map_or(0, |c| c.mismatches);
-    let best = scratch
-        .iter()
-        .take_while(|c| c.mismatches == min)
-        .map(|c| c.fault)
-        .collect();
-    Ok(NoisyDiagnosisReport {
-        ranking: scratch,
-        best,
-        quality,
-        known,
-    })
+    let mut ranking = Vec::new();
+    match_signatures_masked_into(signatures, observed, &mut ranking)?;
+    Ok(NoisyDiagnosisReport::from_ranking(
+        ranking,
+        observed.is_fully_known(),
+    ))
 }
 
 /// [`match_signatures_masked`] with a caller-owned scratch buffer: `scratch`
@@ -230,9 +166,7 @@ pub fn match_signatures_masked(
 ///
 /// # Errors
 ///
-/// Returns [`SddError::Empty`] when there are no signatures to match, and
-/// [`SddError::WidthMismatch`] when `observed`'s width differs from the
-/// signatures'.
+/// As [`match_signatures_masked`].
 pub fn match_signatures_masked_into(
     signatures: &[BitVec],
     observed: &MaskedBitVec,
@@ -249,20 +183,15 @@ pub fn match_signatures_masked_into(
         let d = observed.distance_to(signature)?;
         scratch.push(ScoredCandidate::new(fault, d.mismatches, d.known));
     }
-    scratch.sort_by(|a, b| a.mismatches.cmp(&b.mismatches).then(a.fault.cmp(&b.fault)));
-    let min = scratch.first().map_or(0, |c| c.mismatches);
-    let known = scratch.first().map_or(0, |c| c.known);
-    let quality = match (min, observed.is_fully_known()) {
-        (0, true) => MatchQuality::Exact,
-        (0, false) => MatchQuality::ConsistentUnderMask,
-        _ => MatchQuality::Ranked,
-    };
-    Ok((quality, known))
+    scratch.sort_by_key(|c| (c.mismatches, c.fault));
+    Ok(ladder(scratch, observed.is_fully_known()))
 }
 
 impl PassFailDictionary {
-    /// Diagnoses from an observed pass/fail signature (bit `j` = test `t_j`
-    /// failed on the tester).
+    /// Diagnoses from a (possibly partial) pass/fail signature: bit `j` is
+    /// whether test `t_j` failed on the tester, and tests whose outcome was
+    /// lost to datalog corruption are unknown bits that do not count
+    /// against any candidate.
     ///
     /// # Errors
     ///
@@ -274,22 +203,10 @@ impl PassFailDictionary {
     /// ```
     /// use sdd_core::PassFailDictionary;
     /// let d = PassFailDictionary::build(&sdd_core::example::paper_example());
-    /// let report = d.diagnose(&"01".parse()?)?;
+    /// let report = d.diagnose_masked(&"01".parse()?)?;
     /// assert_eq!(report.candidates(), &[0]); // f0 fails only t1
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn diagnose(&self, observed: &BitVec) -> Result<DiagnosisReport, SddError> {
-        match_signatures(self.signatures(), observed)
-    }
-
-    /// Diagnoses from a partial pass/fail signature: tests whose outcome was
-    /// lost to datalog corruption are unknown bits and do not count against
-    /// any candidate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SddError::WidthMismatch`] when the signature width is wrong
-    /// and [`SddError::Empty`] for an empty dictionary.
     pub fn diagnose_masked(
         &self,
         observed: &MaskedBitVec,
@@ -299,24 +216,13 @@ impl PassFailDictionary {
 }
 
 impl SameDifferentDictionary {
-    /// Diagnoses from the observed per-test output vectors: each response is
-    /// first compared against the test's stored baseline to form the
-    /// observed same/different signature, then matched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SddError::CountMismatch`] / [`SddError::WidthMismatch`]
-    /// when the responses do not line up with the dictionary and
-    /// [`SddError::Empty`] for an empty dictionary.
-    pub fn diagnose(&self, responses: &[BitVec]) -> Result<DiagnosisReport, SddError> {
-        let observed = self.encode_observed(responses)?;
-        match_signatures(self.signatures(), &observed)
-    }
-
-    /// Diagnoses from partial per-test observations. A test's signature bit
-    /// is *different* as soon as any known bit disagrees with the baseline,
-    /// *same* only when the whole response is known and equal, and unknown
-    /// otherwise — so lost data can only widen, never corrupt, the match.
+    /// Diagnoses from (possibly partial) per-test observations: each
+    /// response is compared against the test's stored baseline to form the
+    /// observed same/different signature, then matched. A test's signature
+    /// bit is *different* as soon as any known bit disagrees with the
+    /// baseline, *same* only when the whole response is known and equal,
+    /// and unknown otherwise — so lost data can only widen, never corrupt,
+    /// the match.
     ///
     /// # Errors
     ///
@@ -333,69 +239,9 @@ impl SameDifferentDictionary {
 }
 
 impl FullDictionary {
-    /// Diagnoses from the observed per-test output vectors, scoring each
-    /// fault by the total number of output bits at which its stored
-    /// responses differ from the observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SddError::CountMismatch`] / [`SddError::WidthMismatch`]
-    /// when the responses do not line up with the dictionary.
-    pub fn diagnose(&self, responses: &[BitVec]) -> Result<DiagnosisReport, SddError> {
-        let matrix = self.matrix();
-        if responses.len() != matrix.test_count() {
-            return Err(SddError::CountMismatch {
-                context: "responses per test",
-                expected: matrix.test_count(),
-                actual: responses.len(),
-            });
-        }
-        // Distance from the observation to each response class, per test.
-        let mut per_test: Vec<Vec<usize>> = Vec::with_capacity(matrix.test_count());
-        for (test, observed) in responses.iter().enumerate() {
-            let mut classes = Vec::with_capacity(matrix.class_count(test));
-            for class in 0..matrix.class_count(test) as u32 {
-                let stored = matrix.response(test, class);
-                let d = stored
-                    .hamming_distance(observed)
-                    .ok_or(SddError::WidthMismatch {
-                        context: "observed response width",
-                        expected: stored.len(),
-                        actual: observed.len(),
-                    })?;
-                classes.push(d);
-            }
-            per_test.push(classes);
-        }
-        let mut distance = usize::MAX;
-        let mut nearest = Vec::new();
-        for fault in 0..matrix.fault_count() {
-            let d: usize = (0..matrix.test_count())
-                .map(|test| per_test[test][matrix.class(test, fault) as usize])
-                .sum();
-            if d < distance {
-                distance = d;
-                nearest.clear();
-            }
-            if d == distance {
-                nearest.push(fault);
-            }
-        }
-        let exact = if distance == 0 {
-            nearest.clone()
-        } else {
-            Vec::new()
-        };
-        Ok(DiagnosisReport {
-            exact,
-            nearest,
-            distance,
-        })
-    }
-
-    /// Diagnoses from partial per-test observations by masked Hamming
-    /// distance: each fault is scored by how many *known* observed output
-    /// bits its stored responses contradict.
+    /// Diagnoses from (possibly partial) per-test observations by masked
+    /// Hamming distance: each fault is scored by how many *known* observed
+    /// output bits its stored responses contradict.
     ///
     /// # Errors
     ///
@@ -413,6 +259,7 @@ impl FullDictionary {
                 actual: responses.len(),
             });
         }
+        // Distance from the observation to each response class, per test.
         let mut per_test: Vec<Vec<usize>> = Vec::with_capacity(matrix.test_count());
         let mut known_total = 0usize;
         for (test, observed) in responses.iter().enumerate() {
@@ -424,8 +271,7 @@ impl FullDictionary {
             known_total += observed.known_count();
             per_test.push(classes);
         }
-        let fully_known = responses.iter().all(MaskedBitVec::is_fully_known);
-        let scored = (0..matrix.fault_count())
+        let mut ranking: Vec<ScoredCandidate> = (0..matrix.fault_count())
             .map(|fault| {
                 let mismatches: usize = (0..matrix.test_count())
                     .map(|test| per_test[test][matrix.class(test, fault) as usize])
@@ -433,7 +279,11 @@ impl FullDictionary {
                 ScoredCandidate::new(fault, mismatches, known_total)
             })
             .collect();
-        Ok(NoisyDiagnosisReport::from_scores(scored, fully_known))
+        ranking.sort_by_key(|c| (c.mismatches, c.fault));
+        Ok(NoisyDiagnosisReport::from_ranking(
+            ranking,
+            responses.iter().all(MaskedBitVec::is_fully_known),
+        ))
     }
 }
 
@@ -451,51 +301,13 @@ pub fn observed_responses(
         .collect()
 }
 
-/// Two-phase diagnosis: a same/different dictionary screens the fault list
-/// down to its best matches, then exact fault simulation of only those
-/// candidates ranks them by full-response distance.
+/// Two-phase diagnosis: the masked same/different screen picks the best
+/// candidates, then exact fault simulation of only those candidates ranks
+/// them by masked full-response distance (mismatches over known bits).
 ///
-/// Returns `(fault id, full-response distance)` sorted by distance — the
-/// same answer a full dictionary would give for the screened candidates, at
-/// a fraction of the storage.
-///
-/// # Errors
-///
-/// Returns [`SddError::CountMismatch`] / [`SddError::WidthMismatch`] when
-/// the observation does not line up with the dictionary or tests.
-pub fn two_phase_diagnose(
-    circuit: &Circuit,
-    view: &CombView,
-    universe: &FaultUniverse,
-    faults: &[FaultId],
-    tests: &[BitVec],
-    observed: &[BitVec],
-    dictionary: &SameDifferentDictionary,
-) -> Result<Vec<(FaultId, usize)>, SddError> {
-    let screened = dictionary.diagnose(observed)?;
-    let mut ranked = Vec::with_capacity(screened.candidates().len());
-    for &pos in screened.candidates() {
-        let id = faults[pos];
-        let mut distance = 0usize;
-        for (test, seen) in tests.iter().zip(observed) {
-            let simulated = reference::faulty_response(circuit, view, universe.fault(id), test);
-            distance += simulated
-                .hamming_distance(seen)
-                .ok_or(SddError::WidthMismatch {
-                    context: "observed response width",
-                    expected: simulated.len(),
-                    actual: seen.len(),
-                })?;
-        }
-        ranked.push((id, distance));
-    }
-    ranked.sort_by_key(|&(id, d)| (d, id));
-    Ok(ranked)
-}
-
-/// Two-phase diagnosis from partial observations: the masked same/different
-/// screen picks candidates, then exact simulation re-ranks them by masked
-/// full-response distance (mismatches over known bits only).
+/// Returns `(fault id, full-response distance)` sorted by distance — on
+/// clean data, the same answer a full dictionary would give for the
+/// screened candidates, at a fraction of the storage.
 ///
 /// # Errors
 ///
@@ -544,10 +356,9 @@ pub fn two_phase_diagnose_masked(
 /// filtered out upstream) contributes nothing and is otherwise ignored;
 /// only *all* shards being empty is an error. `fully_known` is whether the
 /// observation had no masked bits (a property of the observation, identical
-/// for every shard), and it re-derives the quality ladder the same way a
-/// single-dictionary diagnosis would: minimum mismatches of zero means
-/// [`MatchQuality::Exact`] on full data, [`MatchQuality::ConsistentUnderMask`]
-/// under a mask, anything else is [`MatchQuality::Ranked`].
+/// for every shard); the merged ranking then gets its rung and best set from
+/// [`NoisyDiagnosisReport::from_ranking`], as a single-dictionary diagnosis
+/// does.
 ///
 /// # Errors
 ///
@@ -626,7 +437,6 @@ pub fn merge_shard_rankings(
         }
         end = offset + last + 1;
     }
-    let min = next.iter().position(|&count| count > 0).unwrap_or(0);
     // Each count becomes the first slot of its run; filling the runs in
     // shard order keeps every run in global fault order.
     let mut slot = 0;
@@ -646,22 +456,7 @@ pub fn merge_shard_rankings(
             *at += 1;
         }
     }
-    let best = ranking
-        .iter()
-        .take_while(|c| c.mismatches == min)
-        .map(|c| c.fault)
-        .collect();
-    let quality = match (min, fully_known) {
-        (0, true) => MatchQuality::Exact,
-        (0, false) => MatchQuality::ConsistentUnderMask,
-        _ => MatchQuality::Ranked,
-    };
-    Ok(NoisyDiagnosisReport {
-        ranking,
-        best,
-        quality,
-        known,
-    })
+    Ok(NoisyDiagnosisReport::from_ranking(ranking, fully_known))
 }
 
 #[cfg(test)]
@@ -678,28 +473,58 @@ mod tests {
         s.parse().unwrap()
     }
 
-    #[test]
-    fn exact_match_wins() {
-        let sigs = vec![bv("00"), bv("01"), bv("11")];
-        let r = match_signatures(&sigs, &bv("01")).unwrap();
-        assert_eq!(r.exact, vec![1]);
-        assert_eq!(r.candidates(), &[1]);
-        assert_eq!(r.distance, 0);
+    /// A fully known observation: clean data.
+    fn clean(s: &str) -> MaskedBitVec {
+        MaskedBitVec::from_known(bv(s))
     }
 
     #[test]
-    fn nearest_match_reports_all_ties() {
-        let sigs = vec![bv("00"), bv("11"), bv("10")];
-        let r = match_signatures(&sigs, &bv("01")).unwrap();
-        assert!(r.exact.is_empty());
-        assert_eq!(r.nearest, vec![0, 1]); // both at distance 1
-        assert_eq!(r.distance, 1);
+    fn clean_observations_match_the_hamming_oracle() {
+        // Clean data lands where plain exact-and-nearest matching would:
+        // the best set is every fault at the minimum Hamming distance, the
+        // rung is Exact exactly when that minimum is zero, and the ranking
+        // orders by (distance, fault).
+        let mut rng = sdd_logic::Prng::seed_from_u64(0xC1EA);
+        for case in 0..300 {
+            let width = [1, 3, 8, 70][case % 4];
+            let faults = rng.gen_range(1..=30);
+            let signatures: Vec<BitVec> = (0..faults)
+                .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
+                .collect();
+            let observed: BitVec = if rng.gen_bool(0.3) {
+                signatures[rng.gen_range(0..faults)].clone()
+            } else {
+                (0..width).map(|_| rng.gen_bool(0.5)).collect()
+            };
+            let distances: Vec<usize> = signatures
+                .iter()
+                .map(|s| s.hamming_distance(&observed).unwrap())
+                .collect();
+            let min = *distances.iter().min().unwrap();
+            let nearest: Vec<usize> = (0..faults).filter(|&f| distances[f] == min).collect();
+            let mut order: Vec<usize> = (0..faults).collect();
+            order.sort_by_key(|&f| (distances[f], f));
+
+            let r =
+                match_signatures_masked(&signatures, &MaskedBitVec::from_known(observed)).unwrap();
+            assert_eq!(r.candidates(), nearest, "case {case}");
+            assert_eq!(r.distance(), min, "case {case}");
+            let quality = if min == 0 {
+                MatchQuality::Exact
+            } else {
+                MatchQuality::Ranked
+            };
+            assert_eq!(r.quality, quality, "case {case}");
+            assert_eq!(r.known, width, "case {case}");
+            let ranked: Vec<usize> = r.ranking.iter().map(|c| c.fault).collect();
+            assert_eq!(ranked, order, "case {case}");
+        }
     }
 
     #[test]
     fn width_mismatch_is_an_error_not_a_panic() {
         let sigs = vec![bv("00")];
-        let e = match_signatures(&sigs, &bv("000")).unwrap_err();
+        let e = match_signatures_masked(&sigs, &clean("000")).unwrap_err();
         assert!(matches!(
             e,
             SddError::WidthMismatch {
@@ -714,10 +539,6 @@ mod tests {
 
     #[test]
     fn empty_dictionary_is_an_error() {
-        assert!(matches!(
-            match_signatures(&[], &bv("01")),
-            Err(SddError::Empty { .. })
-        ));
         assert!(matches!(
             match_signatures_masked(&[], &mv("01")),
             Err(SddError::Empty { .. })
@@ -788,8 +609,16 @@ mod tests {
     #[test]
     fn pass_fail_diagnosis_cannot_split_f2_f3() {
         let d = PassFailDictionary::build(&paper_example());
-        let r = d.diagnose(&bv("11")).unwrap();
-        assert_eq!(r.exact, vec![2, 3], "pass/fail sees f2 and f3 identically");
+        let r = d.diagnose_masked(&clean("11")).unwrap();
+        assert_eq!(r.quality, MatchQuality::Exact);
+        assert_eq!(r.best, vec![2, 3], "pass/fail sees f2 and f3 identically");
+    }
+
+    /// Fault `fault`'s own responses in the paper example, fully known.
+    fn clean_responses(m: &sdd_sim::ResponseMatrix, fault: usize) -> Vec<MaskedBitVec> {
+        (0..m.test_count())
+            .map(|t| MaskedBitVec::from_known(m.response(t, m.class(t, fault))))
+            .collect()
     }
 
     #[test]
@@ -798,30 +627,23 @@ mod tests {
         let s = select_baselines(&m, &Procedure1Options::default());
         let d = SameDifferentDictionary::build(&m, &s.baselines);
         // Simulate the tester observing fault f2's actual responses.
-        let responses: Vec<BitVec> = (0..m.test_count())
-            .map(|t| m.response(t, m.class(t, 2)))
-            .collect();
-        let r = d.diagnose(&responses).unwrap();
-        assert_eq!(r.exact, vec![2], "same/different pinpoints f2");
+        let r = d.diagnose_masked(&clean_responses(&m, 2)).unwrap();
+        assert_eq!(r.quality, MatchQuality::Exact);
+        assert_eq!(r.best, vec![2], "same/different pinpoints f2");
     }
 
     #[test]
-    fn masked_same_different_agrees_with_clean_on_full_data() {
+    fn clean_same_different_data_lands_on_the_exact_rung() {
         let m = paper_example();
         let s = select_baselines(&m, &Procedure1Options::default());
         let d = SameDifferentDictionary::build(&m, &s.baselines);
         for fault in 0..m.fault_count() {
-            let responses: Vec<BitVec> = (0..m.test_count())
-                .map(|t| m.response(t, m.class(t, fault)))
+            let r = d.diagnose_masked(&clean_responses(&m, fault)).unwrap();
+            let twins: Vec<usize> = (0..m.fault_count())
+                .filter(|&f| d.signature(f) == d.signature(fault))
                 .collect();
-            let clean = d.diagnose(&responses).unwrap();
-            let masked_responses: Vec<MaskedBitVec> = responses
-                .into_iter()
-                .map(MaskedBitVec::from_known)
-                .collect();
-            let noisy = d.diagnose_masked(&masked_responses).unwrap();
-            assert_eq!(noisy.candidates(), clean.candidates());
-            assert_eq!(noisy.quality, MatchQuality::Exact);
+            assert_eq!(r.candidates(), twins, "fault {fault}");
+            assert_eq!(r.quality, MatchQuality::Exact);
         }
     }
 
@@ -830,17 +652,10 @@ mod tests {
         let m = paper_example();
         let s = select_baselines(&m, &Procedure1Options::default());
         let d = SameDifferentDictionary::build(&m, &s.baselines);
-        let responses: Vec<BitVec> = (0..m.test_count())
-            .map(|t| m.response(t, m.class(t, 2)))
-            .collect();
         // Mask the whole first response: candidates can only widen, and the
         // true fault must stay in them.
-        let mut masked: Vec<MaskedBitVec> = responses
-            .iter()
-            .cloned()
-            .map(MaskedBitVec::from_known)
-            .collect();
-        masked[0] = MaskedBitVec::unknown(responses[0].len());
+        let mut masked = clean_responses(&m, 2);
+        masked[0] = MaskedBitVec::unknown(masked[0].len());
         let noisy = d.diagnose_masked(&masked).unwrap();
         assert!(
             noisy.candidates().contains(&2),
@@ -854,10 +669,13 @@ mod tests {
         let m = paper_example();
         let d = FullDictionary::new(m);
         for fault in 0..4 {
-            let responses: Vec<BitVec> = (0..2).map(|t| d.response(fault, t)).collect();
-            let r = d.diagnose(&responses).unwrap();
-            assert!(r.exact.contains(&fault), "fault {fault}");
-            assert_eq!(r.distance, 0);
+            let responses: Vec<MaskedBitVec> = (0..2)
+                .map(|t| MaskedBitVec::from_known(d.response(fault, t)))
+                .collect();
+            let r = d.diagnose_masked(&responses).unwrap();
+            assert!(r.candidates().contains(&fault), "fault {fault}");
+            assert_eq!(r.distance(), 0);
+            assert_eq!(r.quality, MatchQuality::Exact);
         }
     }
 
@@ -866,26 +684,20 @@ mod tests {
         let m = paper_example();
         let d = FullDictionary::new(m);
         // A behaviour no modeled fault produces: 11 under both tests.
-        let r = d.diagnose(&[bv("11"), bv("11")]).unwrap();
-        assert!(r.exact.is_empty());
-        assert!(!r.nearest.is_empty());
-        assert!(r.distance > 0);
+        let r = d.diagnose_masked(&[clean("11"), clean("11")]).unwrap();
+        assert_eq!(r.quality, MatchQuality::Ranked, "no exact match");
+        assert!(!r.candidates().is_empty());
+        assert!(r.distance() > 0);
     }
 
     #[test]
-    fn full_masked_diagnosis_matches_clean_and_survives_masking() {
+    fn full_masked_diagnosis_survives_masking() {
         let m = paper_example();
         let d = FullDictionary::new(m);
         for fault in 0..4usize {
-            let responses: Vec<BitVec> = (0..2).map(|t| d.response(fault, t)).collect();
-            let masked: Vec<MaskedBitVec> = responses
-                .iter()
-                .cloned()
-                .map(MaskedBitVec::from_known)
+            let masked: Vec<MaskedBitVec> = (0..2)
+                .map(|t| MaskedBitVec::from_known(d.response(fault, t)))
                 .collect();
-            let clean = d.diagnose(&responses).unwrap();
-            let noisy = d.diagnose_masked(&masked).unwrap();
-            assert_eq!(noisy.candidates(), clean.candidates(), "fault {fault}");
             // Drop one whole test: the true fault must still be among the
             // best candidates.
             let mut partial = masked.clone();
@@ -900,10 +712,6 @@ mod tests {
         let d = FullDictionary::new(paper_example());
         assert!(matches!(
             d.diagnose_masked(&[MaskedBitVec::unknown(2)]),
-            Err(SddError::CountMismatch { .. })
-        ));
-        assert!(matches!(
-            d.diagnose(&[bv("11")]),
             Err(SddError::CountMismatch { .. })
         ));
     }

@@ -50,7 +50,6 @@ mod pass_fail;
 mod procedure1;
 mod procedure2;
 mod prune;
-pub mod representations;
 mod same_different;
 mod sizes;
 pub mod slat;

@@ -173,41 +173,9 @@ impl SameDifferentDictionary {
         self.sizes().same_different
     }
 
-    /// Encodes an observed per-test response sequence into a signature
-    /// comparable against the stored ones — this is what a tester computes
-    /// on-line during diagnosis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SddError::CountMismatch`] when the number of responses
-    /// differs from the test count, and [`SddError::WidthMismatch`] when a
-    /// response's width differs from its baseline's.
-    pub fn encode_observed(&self, responses: &[BitVec]) -> Result<BitVec, SddError> {
-        if responses.len() != self.baselines.len() {
-            return Err(SddError::CountMismatch {
-                context: "responses per test",
-                expected: self.baselines.len(),
-                actual: responses.len(),
-            });
-        }
-        responses
-            .iter()
-            .zip(&self.baselines)
-            .map(|(observed, baseline)| {
-                if observed.len() != baseline.len() {
-                    return Err(SddError::WidthMismatch {
-                        context: "observed response width",
-                        expected: baseline.len(),
-                        actual: observed.len(),
-                    });
-                }
-                Ok(observed != baseline)
-            })
-            .collect()
-    }
-
-    /// Encodes partial per-test observations into a partial signature. The
-    /// bit for test `j` is:
+    /// Encodes (possibly partial) per-test observations into a signature
+    /// comparable against the stored ones — what a tester computes on-line
+    /// during diagnosis. The bit for test `j` is:
     ///
     /// * known `1` (*different*) when any known observed bit disagrees with
     ///   the baseline — one surviving failing bit is proof enough;
@@ -305,10 +273,12 @@ mod tests {
         let matrix = paper_example();
         let d = SameDifferentDictionary::build(&matrix, &[2, 1]);
         for fault in 0..matrix.fault_count() {
-            let responses: Vec<BitVec> = (0..matrix.test_count())
-                .map(|t| matrix.response(t, matrix.class(t, fault)))
+            let responses: Vec<MaskedBitVec> = (0..matrix.test_count())
+                .map(|t| MaskedBitVec::from_known(matrix.response(t, matrix.class(t, fault))))
                 .collect();
-            assert_eq!(d.encode_observed(&responses).unwrap(), *d.signature(fault));
+            let encoded = d.encode_observed_masked(&responses).unwrap();
+            assert!(encoded.is_fully_known(), "clean data encodes fully");
+            assert_eq!(*encoded.values(), *d.signature(fault));
         }
     }
 
@@ -316,13 +286,19 @@ mod tests {
     fn encode_observed_rejects_misshapen_input() {
         let matrix = paper_example();
         let d = SameDifferentDictionary::build(&matrix, &[2, 1]);
+        let known = |s: &str| MaskedBitVec::from_known(s.parse().unwrap());
         assert!(matches!(
-            d.encode_observed(&[matrix.response(0, 0)]),
+            d.encode_observed_masked(&[known("01")]),
             Err(SddError::CountMismatch { .. })
         ));
+        // The baseline fixes the expected width.
         assert!(matches!(
-            d.encode_observed(&["0".parse().unwrap(), "10".parse().unwrap()]),
-            Err(SddError::WidthMismatch { .. })
+            d.encode_observed_masked(&[known("0"), known("10")]),
+            Err(SddError::WidthMismatch {
+                expected: 2,
+                actual: 1,
+                ..
+            })
         ));
     }
 

@@ -158,13 +158,15 @@ impl MaskedBitVec {
     ///
     /// # Errors
     ///
-    /// Returns [`SddError::WidthMismatch`] when the widths differ.
+    /// Returns [`SddError::WidthMismatch`] when the widths differ: `other`
+    /// (the stored vector) fixes the expected width, and this observation
+    /// is the actual one.
     pub fn distance_to(&self, other: &BitVec) -> Result<MaskedDistance, SddError> {
         if self.len() != other.len() {
             return Err(SddError::WidthMismatch {
                 context: "masked comparison",
-                expected: self.len(),
-                actual: other.len(),
+                expected: other.len(),
+                actual: self.len(),
             });
         }
         let diff = &self.bits ^ other;
@@ -401,8 +403,8 @@ mod tests {
         assert!(matches!(
             e,
             SddError::WidthMismatch {
-                expected: 2,
-                actual: 3,
+                expected: 3,
+                actual: 2,
                 ..
             }
         ));

@@ -199,6 +199,23 @@ pub fn save(path: impl AsRef<Path>, dictionary: &StoredDictionary) -> Result<(),
 pub fn read_dictionary_file(path: impl AsRef<Path>) -> Result<Vec<u8>, SddError> {
     use std::io::Read;
     let path = path.as_ref();
+    let (mut file, file_len, mut bytes) = open_checked(path)?;
+    // The capacity is now trusted: for binary files it equals the
+    // validated header + payload; otherwise it is the real on-disk size.
+    bytes.reserve_exact(file_len.saturating_sub(bytes.len()));
+    file.read_to_end(&mut bytes)
+        .map_err(|e| SddError::io(path.display().to_string(), &e))?;
+    Ok(bytes)
+}
+
+/// Opens a dictionary file and reads its first [`HEADER_LEN`] bytes (fewer
+/// for a shorter file). When they start a binary image, the header is
+/// decoded and its declared length compared with the file's length before
+/// any body byte is read or mapped — the one guard that the owned read and
+/// the mapped read ([`read_dictionary_bytes`]) share, so both refuse a file
+/// with the same error. Returns the file, its length and the bytes read.
+fn open_checked(path: &Path) -> Result<(fs::File, usize, Vec<u8>), SddError> {
+    use std::io::Read;
     let context = || path.display().to_string();
     let mut file = fs::File::open(path).map_err(|e| SddError::io(context(), &e))?;
     let file_len = file
@@ -207,7 +224,7 @@ pub fn read_dictionary_file(path: impl AsRef<Path>) -> Result<Vec<u8>, SddError>
         .len();
     let file_len = usize::try_from(file_len)
         .map_err(|_| SddError::invalid(format!("{}: file length exceeds usize", path.display())))?;
-    let mut head = [0u8; HEADER_LEN];
+    let mut head = vec![0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
         match file.read(&mut head[filled..]) {
@@ -217,10 +234,11 @@ pub fn read_dictionary_file(path: impl AsRef<Path>) -> Result<Vec<u8>, SddError>
             Err(e) => return Err(SddError::io(context(), &e)),
         }
     }
-    if head[..filled].starts_with(&MAGIC) {
+    head.truncate(filled);
+    if head.starts_with(&MAGIC) {
         // Header::decode validates magic, checksum, and version, and a
         // partial header surfaces as Truncated — all before any body read.
-        let header = Header::decode(&head[..filled])?;
+        let header = Header::decode(&head)?;
         let declared = HEADER_LEN
             .checked_add(header.payload_len)
             .ok_or_else(|| SddError::invalid("header-declared file length overflows usize"))?;
@@ -238,13 +256,7 @@ pub fn read_dictionary_file(path: impl AsRef<Path>) -> Result<Vec<u8>, SddError>
             )));
         }
     }
-    // The capacity is now trusted: for binary files it equals the
-    // validated header + payload; otherwise it is the real on-disk size.
-    let mut bytes = Vec::with_capacity(file_len);
-    bytes.extend_from_slice(&head[..filled]);
-    file.read_to_end(&mut bytes)
-        .map_err(|e| SddError::io(context(), &e))?;
-    Ok(bytes)
+    Ok((file, file_len, head))
 }
 
 /// Reads a dictionary from a `.sddb` file.

@@ -31,13 +31,10 @@
 #![allow(unsafe_code)]
 
 use std::fs::File;
-use std::io::Read;
 use std::ops::Deref;
 use std::path::Path;
 
 use sdd_logic::SddError;
-
-use crate::format::{Header, HEADER_LEN, MAGIC};
 
 /// Is zero-copy mapping available on this target?
 #[must_use]
@@ -411,53 +408,18 @@ pub fn read_dictionary_bytes(
     }
 }
 
-/// Maps `path` after the header-vs-file-length SIGBUS guard.
+/// Maps `path` after the header-vs-file-length SIGBUS guard: the header is
+/// decoded from ordinary-I/O bytes, and a file shorter than its header
+/// declares is refused before it is mapped.
 fn map_validated(path: &Path) -> Result<DictBytes, SddError> {
-    let context = || path.display().to_string();
-    let mut file = File::open(path).map_err(|e| SddError::io(context(), &e))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| SddError::io(context(), &e))?
-        .len();
-    let file_len = usize::try_from(file_len)
-        .map_err(|_| SddError::invalid(format!("{}: file length exceeds usize", path.display())))?;
-    let mut head = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN && filled < file_len {
-        match file.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SddError::io(context(), &e)),
-        }
-    }
-    if head[..filled].starts_with(&MAGIC) {
-        // The SIGBUS guard: decode the header from ordinary-I/O bytes and
-        // refuse to map a file shorter than its header declares.
-        let header = Header::decode(&head[..filled])?;
-        let declared = HEADER_LEN
-            .checked_add(header.payload_len)
-            .ok_or_else(|| SddError::invalid("header-declared file length overflows usize"))?;
-        if declared > file_len {
-            return Err(SddError::Truncated {
-                context: "store file",
-                expected: declared,
-                actual: file_len,
-            });
-        }
-        if declared < file_len {
-            return Err(SddError::invalid(format!(
-                "{} trailing bytes after the declared payload",
-                file_len - declared
-            )));
-        }
-    }
+    let (file, file_len, _) = crate::open_checked(path)?;
     if file_len == 0 {
         // The kernel rejects empty mappings; an empty Vec decodes to the
         // same typed error an empty mapping would have.
         return Ok(DictBytes::Owned(Vec::new()));
     }
-    let map = sys::Mapping::new(&file, file_len).map_err(|e| SddError::io(context(), &e))?;
+    let map = sys::Mapping::new(&file, file_len)
+        .map_err(|e| SddError::io(path.display().to_string(), &e))?;
     Ok(DictBytes::Mapped(MappedFile {
         map: DebugMapping(map),
         file,

@@ -18,17 +18,15 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use sdd_core::diagnose::{MatchQuality, ScoredCandidate};
 use sdd_core::Budget;
-use sdd_store::StoredDictionary;
 
 use crate::cluster::{Aggregator, Clusters};
 use crate::corpus::{parse_line, Observation, Parsed, Shape, SkipReason};
-use crate::shard::{diagnose_sharded, ShardObservation};
-use crate::source::ShardSource;
+use crate::shard::ShardObservation;
+use crate::source::{diagnose_source, ShardSource, SourceDiagnosis};
 
 /// Candidates shown per device record (matching the serve `top=` field).
 pub const TOP_CANDIDATES: usize = 5;
@@ -378,59 +376,29 @@ fn process_line<S: ShardSource + ?Sized>(
     }
 }
 
-/// Diagnoses one device: fetches shards under the per-device budget
-/// (resident shards still count when the budget expires — a registry hit
-/// is a clone, not I/O), merges whatever loaded, and records the rest as
-/// degraded coverage. Fails only when *nothing* loaded.
+/// Diagnoses one device through [`diagnose_source`] under the per-device
+/// budget: resident shards always join, loads the budget refuses and shards
+/// that fail become degraded coverage, and only a device with *nothing*
+/// joined fails.
 fn diagnose_device<S: ShardSource + ?Sized>(
     source: &S,
     observation: &Observation,
     budget: &Budget,
 ) -> Result<Box<Diagnosed>, &'static str> {
-    let start = Instant::now();
-    let count = source.shard_count();
-    let mut degraded: Vec<(usize, &'static str)> = Vec::new();
-    let mut fetched: Vec<(usize, Arc<StoredDictionary>)> = Vec::with_capacity(count);
-    for index in 0..count {
-        if !budget.allows(index, start.elapsed()) {
-            match source.resident(index) {
-                Some(d) => fetched.push((source.fault_start(index), d)),
-                None => degraded.push((index, "deadline")),
-            }
-            continue;
-        }
-        match source.fetch(index) {
-            Ok(d) => fetched.push((source.fault_start(index), d)),
-            Err(e) => degraded.push((index, e.token)),
-        }
-    }
-    if fetched.is_empty() {
-        let reason = degraded
-            .iter()
-            .map(|&(_, token)| token)
-            .find(|&token| token != "deadline")
-            .unwrap_or("deadline");
-        return Err(reason);
-    }
-    let shards: Vec<(usize, &StoredDictionary)> = fetched
-        .iter()
-        .map(|(fault_start, d)| (*fault_start, d.as_ref()))
-        .collect();
-    let shard_observation = match observation {
+    let observation = match observation {
         Observation::Signature(signature) => ShardObservation::Signature(signature),
         Observation::Responses(responses) => ShardObservation::Responses(responses),
     };
-    let report =
-        diagnose_sharded(&shards, shard_observation).map_err(|e| crate::source::error_token(&e))?;
-    let covered: usize = fetched.iter().map(|(_, d)| d.fault_count()).sum();
-    let distance = report.ranking.first().map_or(0, |c| c.mismatches);
-    let top_fault = report.best.first().copied().unwrap_or(0);
-    let top_confidence = report.ranking.first().map_or(0.0, |c| c.confidence);
+    let SourceDiagnosis {
+        report,
+        covered,
+        degraded,
+    } = diagnose_source(source, observation, budget, Instant::now()).map_err(|e| e.reason)?;
     Ok(Box::new(Diagnosed {
         device: String::new(),
         quality: report.quality,
         known: report.known,
-        distance,
+        distance: report.distance(),
         nbest: report.best.len(),
         best: report.best.iter().copied().take(BEST_SHOWN).collect(),
         top: report
@@ -439,8 +407,8 @@ fn diagnose_device<S: ShardSource + ?Sized>(
             .take(TOP_CANDIDATES)
             .cloned()
             .collect(),
-        top_fault,
-        top_confidence,
+        top_fault: report.best.first().copied().unwrap_or(0),
+        top_confidence: report.ranking.first().map_or(0.0, |c| c.confidence),
         covered,
         degraded,
     }))
@@ -588,11 +556,13 @@ fn push_joined<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::tests::{FakeSource, Residency};
     use crate::source::WholeSource;
     use crate::synth::{synthesize, SynthSpec};
     use sdd_core::SameDifferentDictionary;
     use sdd_logic::{BitVec, Prng};
     use sdd_sim::ResponseMatrix;
+    use sdd_store::StoredDictionary;
     use std::time::Duration;
 
     fn source() -> WholeSource {
@@ -748,45 +718,12 @@ dev-3 01/00
 
     #[test]
     fn a_zero_budget_degrades_to_an_error_record_not_an_abort() {
-        let corpus = "dev-0 10/11\n";
-        let source = source();
-        // `WholeSource::resident` always hits, so exhaust the budget
-        // against a source with nothing resident.
-        struct Cold(WholeSource);
-        impl ShardSource for Cold {
-            fn kind(&self) -> sdd_store::DictionaryKind {
-                self.0.kind()
-            }
-            fn tests(&self) -> usize {
-                self.0.tests()
-            }
-            fn outputs(&self) -> usize {
-                self.0.outputs()
-            }
-            fn fault_count(&self) -> usize {
-                self.0.fault_count()
-            }
-            fn shard_count(&self) -> usize {
-                self.0.shard_count()
-            }
-            fn fault_start(&self, shard: usize) -> usize {
-                self.0.fault_start(shard)
-            }
-            fn fetch(
-                &self,
-                shard: usize,
-            ) -> Result<Arc<StoredDictionary>, crate::source::FetchError> {
-                self.0.fetch(shard)
-            }
-            fn resident(&self, _shard: usize) -> Option<Arc<StoredDictionary>> {
-                None
-            }
-            fn fault_cone(&self, fault: usize) -> Option<&sdd_logic::BitVec> {
-                self.0.fault_cone(fault)
-            }
-        }
-        let cold = Cold(source);
-        let mut lines = corpus.lines().map(|l| Ok(l.to_owned()));
+        // A source with nothing resident, so the budget refuses every load.
+        let whole = StoredDictionary::SameDifferent(
+            SameDifferentDictionary::with_fault_free_baselines(&sdd_core::example::paper_example()),
+        );
+        let cold = FakeSource::new(&whole, &[(0, BitVec::zeros(2), Residency::Cold)]);
+        let mut lines = "dev-0 10/11\n".lines().map(|l| Ok(l.to_owned()));
         let mut out = Vec::new();
         let options = VolumeOptions {
             budget: Budget::max_calls(0).and_deadline(Duration::ZERO),

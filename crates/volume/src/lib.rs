@@ -10,9 +10,10 @@
 //!    [`sdd_logic::MaskedBitVec`] ternary alphabet; malformed lines are
 //!    counted and skipped, never fatal.
 //! 2. **Diagnose** ([`engine`]) — every device runs the masked-diagnosis
-//!    ladder against a whole or sharded dictionary ([`shard`]) across a
-//!    `jobs` worker pool, honoring a per-device [`sdd_core::Budget`];
-//!    output order and bytes are identical for every job count.
+//!    ladder against a whole or sharded dictionary ([`shard`]) through
+//!    [`diagnose_source`], across a `jobs` worker pool, honoring a
+//!    per-device [`sdd_core::Budget`]; output order and bytes are identical
+//!    for every job count.
 //! 3. **Aggregate** ([`cluster`]) — verdicts cluster by candidate fault
 //!    and by output cone, with recurrence counts, confidence-weighted
 //!    scores, and a systematic-vs-random threshold classification.
@@ -21,8 +22,10 @@
 //!
 //! The engine is surfaced twice — the `sdd volume` CLI subcommand and the
 //! serve `VOLUME` verb — through the [`ShardSource`] seam; both emit
-//! bit-identical JSON payloads by construction. [`synth`] generates the
-//! seeded corpora the benches and examples drive it with.
+//! bit-identical JSON payloads by construction. The serve `DIAG` and
+//! `BATCH` verbs diagnose through the same [`diagnose_source`] loop.
+//! [`synth`] generates the seeded corpora the benches and examples drive it
+//! with.
 //!
 //! # Example
 //!
@@ -72,5 +75,8 @@ pub use corpus::{Observation, Parsed, Shape, SkipReason};
 pub use engine::{
     quality_name, run, JsonlSink, RecordSink, Verdict, VolumeOptions, VolumeSummary, WireSink,
 };
-pub use source::{error_token, FetchError, PreloadedShards, ShardSource, WholeSource};
+pub use source::{
+    diagnose_source, error_token, PreloadedShards, ShardSource, SourceDiagnosis, Unserved,
+    WholeSource,
+};
 pub use synth::{device_name, synthesize, SynthSpec};

@@ -7,7 +7,7 @@
 //! dictionary. All shards must be scored: signatures compare against
 //! shard-global baselines, so a fault outside the failing outputs' cones
 //! can still be a zero-mismatch candidate — cones prioritize *load order*
-//! (see the serve layer), never skip scoring.
+//! (see [`crate::source::diagnose_source`]), never skip scoring.
 //!
 //! # Example
 //!
@@ -36,7 +36,7 @@
 use sdd_core::diagnose::{
     match_signatures_masked_into, merge_shard_rankings, NoisyDiagnosisReport, ScoredCandidate,
 };
-use sdd_logic::{BitVec, MaskedBitVec, SddError};
+use sdd_logic::{MaskedBitVec, SddError};
 use sdd_store::StoredDictionary;
 
 /// One parsed observation, in the shape the dictionary kind expects —
@@ -58,7 +58,9 @@ pub enum ShardObservation<'a> {
 ///
 /// For shards produced by slicing one dictionary into ranges that tile the
 /// fault list, the result is bit-identical to diagnosing the unsharded
-/// dictionary (same ranking, same best set, same quality ladder rung).
+/// dictionary (same ranking, same best set, same quality ladder rung). A
+/// single shard at offset 0 is its own merge: its ranking is the report,
+/// with no merge pass.
 ///
 /// # Errors
 ///
@@ -110,18 +112,12 @@ pub fn diagnose_sharded(
             }
             responses.iter().all(MaskedBitVec::is_fully_known)
         }
-        (ShardObservation::Signature(_), _) => {
-            return Err(SddError::invalid(
-                "signature observations fit pass/fail dictionaries; \
-                 this kind takes per-test responses",
-            ));
-        }
-        (ShardObservation::Responses(_), StoredDictionary::PassFail(_)) => {
-            return Err(SddError::invalid(
-                "pass/fail dictionaries take a signature observation, not per-test responses",
-            ));
-        }
+        (observation, _) => return Err(misfit(observation)),
     };
+    if let [(0, ranking)] = rankings.as_mut_slice() {
+        let ranking = std::mem::take(ranking);
+        return Ok(NoisyDiagnosisReport::from_ranking(ranking, fully_known));
+    }
     let slices: Vec<(usize, &[ScoredCandidate])> = rankings
         .iter()
         .map(|(offset, ranking)| (*offset, ranking.as_slice()))
@@ -129,58 +125,19 @@ pub fn diagnose_sharded(
     merge_shard_rankings(&slices, fully_known)
 }
 
-/// The failing outputs of an observation: bit `o` is set when any test's
-/// observed output `o` is known and disagrees with the dictionary's
-/// reference response for that test (the baseline for same/different, the
-/// fault-free response for full dictionaries). This is what gets
-/// intersected with shard cones to prioritize lazy loads.
-///
-/// # Errors
-///
-/// [`SddError::Invalid`] for pass/fail dictionaries (their observations
-/// carry no per-output information), [`SddError::CountMismatch`] /
-/// [`SddError::WidthMismatch`] when the responses do not line up.
-pub fn failing_outputs(
-    dictionary: &StoredDictionary,
-    responses: &[MaskedBitVec],
-) -> Result<BitVec, SddError> {
-    let (tests, outputs) = match dictionary {
-        StoredDictionary::PassFail(_) => {
-            return Err(SddError::invalid(
-                "pass/fail observations carry no per-output information",
-            ));
+/// The error for an observation whose shape belongs to the other kind of
+/// dictionary: a signature offered to a response-keyed dictionary, or
+/// per-test responses offered to a pass/fail one.
+pub(crate) fn misfit(observation: ShardObservation<'_>) -> SddError {
+    SddError::invalid(match observation {
+        ShardObservation::Signature(_) => {
+            "signature observations fit pass/fail dictionaries; \
+             this kind takes per-test responses"
         }
-        StoredDictionary::SameDifferent(d) => (d.test_count(), d.sizes().outputs as usize),
-        StoredDictionary::Full(d) => (d.test_count(), d.matrix().output_count()),
-    };
-    if responses.len() != tests {
-        return Err(SddError::CountMismatch {
-            context: "responses per test",
-            expected: tests,
-            actual: responses.len(),
-        });
-    }
-    let mut failing = BitVec::zeros(outputs);
-    for (test, observed) in responses.iter().enumerate() {
-        if observed.len() != outputs {
-            return Err(SddError::WidthMismatch {
-                context: "observed response width",
-                expected: outputs,
-                actual: observed.len(),
-            });
+        ShardObservation::Responses(_) => {
+            "pass/fail dictionaries take a signature observation, not per-test responses"
         }
-        let reference = match dictionary {
-            StoredDictionary::SameDifferent(d) => d.baseline(test).clone(),
-            StoredDictionary::Full(d) => d.matrix().good_response(test).clone(),
-            StoredDictionary::PassFail(_) => unreachable!("rejected above"),
-        };
-        for output in 0..outputs {
-            if observed.bit(output) == Some(!reference.bit(output)) {
-                failing.set(output, true);
-            }
-        }
-    }
-    Ok(failing)
+    })
 }
 
 #[cfg(test)]
@@ -244,29 +201,5 @@ mod tests {
             diagnose_sharded(&[(0, &pf), (2, &sd())], ShardObservation::Signature(&sig)),
             Err(SddError::Invalid { .. })
         ));
-    }
-
-    #[test]
-    fn failing_outputs_reflect_known_disagreements() {
-        let whole = sd();
-        let StoredDictionary::SameDifferent(d) = &whole else {
-            unreachable!()
-        };
-        let mut responses: Vec<MaskedBitVec> = (0..d.test_count())
-            .map(|t| MaskedBitVec::from_known(d.baseline(t).clone()))
-            .collect();
-        let clean = failing_outputs(&whole, &responses).unwrap();
-        assert!(!clean.any(), "agreeing observation fails nothing");
-        responses[1].flip(1);
-        let failing = failing_outputs(&whole, &responses).unwrap();
-        assert!(failing.bit(1) && !failing.bit(0));
-        // Masking the flipped bit removes the evidence.
-        responses[1].mask(1);
-        let masked = failing_outputs(&whole, &responses).unwrap();
-        assert!(!masked.any());
-        let pf = StoredDictionary::PassFail(PassFailDictionary::build(
-            &sdd_core::example::paper_example(),
-        ));
-        assert!(failing_outputs(&pf, &responses).is_err());
     }
 }

@@ -13,13 +13,13 @@
 //! ```
 
 use same_different::atpg::AtpgOptions;
-use same_different::dict::diagnose::{observed_responses, two_phase_diagnose};
+use same_different::dict::diagnose::{observed_responses, two_phase_diagnose_masked};
 use same_different::dict::{
     replace_baselines, select_baselines, FullDictionary, PassFailDictionary, Procedure1Options,
     SameDifferentDictionary,
 };
 use same_different::Experiment;
-use sdd_logic::Prng;
+use sdd_logic::{MaskedBitVec, Prng};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -53,13 +53,16 @@ fn main() {
         culprit.describe(exp.circuit())
     );
 
-    // What the tester sees.
-    let observed = observed_responses(exp.circuit(), exp.view(), culprit, &tests.tests);
-    let observed_pf: same_different::logic::BitVec = observed
-        .iter()
-        .zip(0..matrix.test_count())
-        .map(|(r, t)| r != matrix.good_response(t))
-        .collect();
+    // What the tester sees: clean data, every bit known.
+    let responses = observed_responses(exp.circuit(), exp.view(), culprit, &tests.tests);
+    let observed_pf = MaskedBitVec::from_known(
+        responses
+            .iter()
+            .zip(0..matrix.test_count())
+            .map(|(r, t)| r != matrix.good_response(t))
+            .collect(),
+    );
+    let observed: Vec<MaskedBitVec> = responses.into_iter().map(MaskedBitVec::from).collect();
 
     let name = |pos: usize| {
         exp.universe()
@@ -68,7 +71,7 @@ fn main() {
     };
 
     let r = pass_fail
-        .diagnose(&observed_pf)
+        .diagnose_masked(&observed_pf)
         .expect("well-formed observation");
     println!(
         "\npass/fail dictionary:      {} candidate(s): {}",
@@ -81,7 +84,9 @@ fn main() {
     );
     assert!(r.candidates().contains(&culprit_pos));
 
-    let r = sd.diagnose(&observed).expect("well-formed observation");
+    let r = sd
+        .diagnose_masked(&observed)
+        .expect("well-formed observation");
     println!(
         "same/different dictionary: {} candidate(s): {}",
         r.candidates().len(),
@@ -93,7 +98,9 @@ fn main() {
     );
     assert!(r.candidates().contains(&culprit_pos));
 
-    let r = full.diagnose(&observed).expect("well-formed observation");
+    let r = full
+        .diagnose_masked(&observed)
+        .expect("well-formed observation");
     println!(
         "full dictionary:           {} candidate(s): {}",
         r.candidates().len(),
@@ -106,7 +113,7 @@ fn main() {
     assert!(r.candidates().contains(&culprit_pos));
 
     // Two-phase: dictionary screen + exact simulation of survivors.
-    let ranked = two_phase_diagnose(
+    let ranked = two_phase_diagnose_masked(
         exp.circuit(),
         exp.view(),
         exp.universe(),

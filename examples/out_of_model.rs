@@ -16,7 +16,7 @@
 use same_different::atpg::AtpgOptions;
 use same_different::dict::{select_baselines, Procedure1Options, SameDifferentDictionary};
 use same_different::fault::{BridgeKind, Defect, FaultSite};
-use same_different::logic::BitVec;
+use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::sim::reference;
 use same_different::Experiment;
 use sdd_logic::Prng;
@@ -85,7 +85,10 @@ fn main() {
         }
         trials += 1;
 
-        let report = sd.diagnose(&observed).expect("well-formed observation");
+        let observed: Vec<MaskedBitVec> = observed.into_iter().map(MaskedBitVec::from).collect();
+        let report = sd
+            .diagnose_masked(&observed)
+            .expect("well-formed observation");
         let plausible = defect.plausible_sites();
         let hit = report.candidates().iter().any(|&pos| {
             let fault = exp.universe().fault(exp.faults()[pos]);
@@ -98,14 +101,14 @@ fn main() {
         if hit {
             located += 1;
         }
-        if report.distance == 0 {
+        if report.distance() == 0 {
             exactish += 1;
         }
         println!(
             "{:<44} {} candidates, distance {:>3}, located: {}",
             defect.describe(exp.circuit()),
             report.candidates().len(),
-            report.distance,
+            report.distance(),
             if hit { "yes" } else { "no" }
         );
     }

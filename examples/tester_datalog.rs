@@ -15,7 +15,7 @@
 use same_different::atpg::AtpgOptions;
 use same_different::dict::diagnose::observed_responses;
 use same_different::dict::{select_baselines, Procedure1Options, SameDifferentDictionary};
-use same_different::logic::BitVec;
+use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::sim::{FailLog, ScanChains};
 use same_different::Experiment;
 use sdd_logic::Prng;
@@ -72,10 +72,12 @@ fn main() {
     // In the diagnosis tool: datalog → responses → dictionary match.
     let reconstructed = log.to_responses(exp.circuit(), &chains, &expected);
     assert_eq!(reconstructed, observed, "datalog is lossless");
+    let reconstructed: Vec<MaskedBitVec> =
+        reconstructed.into_iter().map(MaskedBitVec::from).collect();
     let report = dictionary
-        .diagnose(&reconstructed)
+        .diagnose_masked(&reconstructed)
         .expect("well-formed observation");
-    println!("\ndiagnosis candidates (distance {}):", report.distance);
+    println!("\ndiagnosis candidates (distance {}):", report.distance());
     for &pos in report.candidates() {
         println!(
             "  {}",

@@ -52,10 +52,11 @@ use std::fs;
 use std::process::ExitCode;
 
 use same_different::atpg::AtpgOptions;
+use same_different::dict::diagnose::MatchQuality;
 use same_different::dict::{
     io as dict_io, replace_baselines, select_baselines, Procedure1Options, SameDifferentDictionary,
 };
-use same_different::logic::BitVec;
+use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::netlist::{bench, generator};
 use same_different::Experiment;
 
@@ -504,15 +505,19 @@ fn cmd_diagnose(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let report = dictionary.diagnose(&observed).map_err(|e| e.to_string())?;
-    if report.exact.is_empty() {
+    // The responses are clean data: the fully known case of the ladder.
+    let observed: Vec<MaskedBitVec> = observed.into_iter().map(MaskedBitVec::from).collect();
+    let report = dictionary
+        .diagnose_masked(&observed)
+        .map_err(|e| e.to_string())?;
+    if report.quality == MatchQuality::Exact {
+        println!("{} exact candidate(s):", report.best.len());
+    } else {
         println!(
             "no exact match; {} nearest candidate(s) at signature distance {}:",
-            report.nearest.len(),
-            report.distance
+            report.best.len(),
+            report.distance()
         );
-    } else {
-        println!("{} exact candidate(s):", report.exact.len());
     }
     for &pos in report.candidates() {
         let fault = exp.universe().fault(exp.faults()[pos]);

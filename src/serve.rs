@@ -36,8 +36,11 @@
 //!
 //! Loaded dictionaries live in a registry with least-recently-used eviction
 //! under a configurable memory cap, so a box serving many designs keeps its
-//! footprint bounded. Each worker thread reuses one diagnosis scratch
-//! buffer across requests, keeping the hot path allocation-light.
+//! footprint bounded. `DIAG`, `BATCH` and `VOLUME` resolve a name to a
+//! [`ShardSource`] in one place — a whole dictionary, decoded first when
+//! only its mapped image is resident, or the registry-backed shard set —
+//! and diagnose through the one loop every surface shares,
+//! [`sdd_volume::diagnose_source`].
 //!
 //! Loading a `.sddm` shard manifest registers the shard set without reading
 //! any shard: shards load lazily on the first `DIAG` that needs them, in
@@ -45,8 +48,9 @@
 //! observation's failing outputs first). Every shard is still *scored* on
 //! every query — signatures compare against shard-global baselines, so a
 //! fault outside the failing cone can still be the best candidate, and
-//! skipping it would break the bit-identical merge. The LRU registry evicts
-//! at shard granularity, and `STATS` reports per-shard residency.
+//! skipping it would break the bit-identical merge. A malformed observation
+//! is refused before any shard loads. The LRU registry evicts at shard
+//! granularity, and `STATS` reports per-shard residency.
 //!
 //! # Failure domains and the reply contract
 //!
@@ -60,7 +64,8 @@
 //!   closed, so excess clients queue at their end, not inside the pool.
 //! * `PARTIAL` — a sharded `DIAG`/`BATCH` item answered from the shards
 //!   that could be loaded, because some shard was missing, corrupt, or cut
-//!   off by the per-request deadline. The reply carries
+//!   off by the per-request deadline (which bounds every shard load, the
+//!   first one included). The reply carries
 //!   `covered=<faults>/<total>` and a `degraded=<shard>:<reason>,...` list;
 //!   the ranking is bit-identical to diagnosing the explicit
 //!   sub-dictionary of the shards that *were* resident (a missing shard is
@@ -99,13 +104,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sdd_core::diagnose::{match_signatures_masked_into, MatchQuality, ScoredCandidate};
+use sdd_core::diagnose::NoisyDiagnosisReport;
 use sdd_core::Budget;
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
 use sdd_store::{DictBytes, DictionaryKind, MmapMode, SddbReader, ShardedReader, StoredDictionary};
-use sdd_volume::shard::{self, ShardObservation};
+use sdd_volume::engine::TOP_CANDIDATES;
+use sdd_volume::shard::ShardObservation;
 use sdd_volume::{
-    error_token, quality_name, FetchError, ShardSource, VolumeOptions, WholeSource, WireSink,
+    diagnose_source, quality_name, Shape, ShardSource, VolumeOptions, WholeSource, WireSink,
 };
 
 /// How the server is bound and provisioned.
@@ -128,10 +134,11 @@ pub struct ServeConfig {
     /// (`ERR idle timeout ...`) — the slow-loris cutoff that keeps stalled
     /// clients from holding connection slots.
     pub idle_timeout: Duration,
-    /// Optional wall-clock budget per request. A sharded `DIAG` that runs
-    /// out mid-load answers `PARTIAL` from the shards already resident;
-    /// remaining `BATCH` items answer `ERR deadline`. `None` means
-    /// unbounded.
+    /// Optional wall-clock budget per request. It bounds every shard load
+    /// of a sharded `DIAG`, the first one included: a request that runs out
+    /// answers `PARTIAL` from the shards already resident (or `ERR` when
+    /// none is), and remaining `BATCH` items answer `ERR deadline`. `None`
+    /// means unbounded.
     pub request_deadline: Option<Duration>,
     /// How `LOAD` brings dictionary files into memory: mapped zero-copy
     /// images ([`MmapMode::Auto`] maps on Linux, reads elsewhere) or owned
@@ -155,9 +162,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// How many ranked candidates a `DIAG` reply includes in its `top=` field.
-const TOP_CANDIDATES: usize = 5;
 
 /// One loaded dictionary — whole, or a lazily-populated shard set.
 enum Entry {
@@ -754,9 +758,9 @@ pub(crate) struct Limits {
 }
 
 /// Wall-clock budget of one in-flight request — the serving analog of the
-/// construction-time [`Budget`]. Sharded shard-loads and batch items check
-/// it between units of work and degrade (`PARTIAL` / `ERR deadline`)
-/// instead of overrunning.
+/// construction-time [`Budget`]. Shard loads and batch items check it
+/// between units of work and degrade (`PARTIAL` / `ERR deadline`) instead
+/// of overrunning.
 pub(crate) struct RequestClock {
     start: Instant,
     budget: Budget,
@@ -861,13 +865,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServerHandle, SddError> {
     })
 }
 
-/// Per-worker reusable buffers: the ranked-candidate scratch the masked
-/// matcher fills and the parsed per-test responses of the current request.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    ranking: Vec<ScoredCandidate>,
-    responses: Vec<MaskedBitVec>,
-}
+/// A worker's reusable buffer for the parsed per-test responses of the
+/// current request.
+pub(crate) type Scratch = Vec<MaskedBitVec>;
 
 /// Refuses one connection under overload: a one-line `OK BUSY` reply, then
 /// the stream drops closed. The client saw an explicit verdict and can
@@ -1116,17 +1116,81 @@ fn diag_reply(
     scratch: &mut Scratch,
     clock: &RequestClock,
 ) -> String {
-    let diagnosed = match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => diagnose(&dictionary, obs, scratch),
-        Fetched::WholeCold(image) => fetch_whole(name, &image, shared)
-            .and_then(|dictionary| diagnose(&dictionary, obs, scratch)),
-        Fetched::Sharded(reader) => {
-            diagnose_sharded_reply(name, &reader, obs, shared, scratch, clock)
-        }
-        Fetched::Missing => return err_reply(&format!("no dictionary loaded as {name:?}")),
+    let Some(source) = resolve(name, shared) else {
+        return err_reply(&format!("no dictionary loaded as {name:?}"));
     };
     shared.diagnoses.fetch_add(1, Ordering::Relaxed);
-    diagnosed.unwrap_or_else(|e| err_reply(&e.to_string()))
+    source
+        .and_then(|source| diag_line(source.as_ref(), obs, shared, scratch, clock))
+        .unwrap_or_else(|e| err_reply(&e.to_string()))
+}
+
+/// The dictionary registered under `name`, as the [`ShardSource`] every
+/// diagnosis verb runs on: a whole dictionary becomes a [`WholeSource`]
+/// (decoded first when only its mapped image is resident), a shard set the
+/// registry-backed [`RegistrySource`]. `None` when nothing is registered.
+fn resolve<'a>(
+    name: &'a str,
+    shared: &'a Arc<Shared>,
+) -> Option<Result<Box<dyn ShardSource + 'a>, SddError>> {
+    let source: Box<dyn ShardSource + 'a> = match shared.registry.get(name) {
+        Fetched::Whole(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
+        Fetched::WholeCold(image) => match fetch_whole(name, &image, shared) {
+            Ok(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
+            Err(e) => return Some(Err(e)),
+        },
+        Fetched::Sharded(reader) => Box::new(RegistrySource {
+            name,
+            reader,
+            shared,
+        }),
+        Fetched::Missing => return None,
+    };
+    Some(Ok(source))
+}
+
+/// Diagnoses one observation through [`diagnose_source`], under the
+/// request's deadline, and formats the reply line. Whatever could not join
+/// the merge — a missing or corrupt shard, or one the deadline cut off —
+/// turns the verdict `PARTIAL`, with `covered=<faults>/<total>` and a
+/// `degraded=<shard>:<reason>,...` list; the ranking is then bit-identical
+/// to diagnosing the sub-dictionary of the shards that did join.
+fn diag_line(
+    source: &dyn ShardSource,
+    obs: &str,
+    shared: &Shared,
+    scratch: &mut Scratch,
+    clock: &RequestClock,
+) -> Result<String, SddError> {
+    let signature: MaskedBitVec;
+    let observation = if source.shape().kind == DictionaryKind::PassFail {
+        signature = obs.parse()?;
+        ShardObservation::Signature(&signature)
+    } else {
+        scratch.clear();
+        for token in obs.split('/') {
+            scratch.push(token.parse()?);
+        }
+        ShardObservation::Responses(scratch)
+    };
+    let diagnosis = diagnose_source(source, observation, &clock.budget, clock.start)
+        .map_err(|unserved| unserved.error)?;
+    let fields = report_fields(&diagnosis.report);
+    if diagnosis.degraded.is_empty() {
+        return Ok(format!("OK DIAG {fields}"));
+    }
+    shared.partial.fetch_add(1, Ordering::Relaxed);
+    let degraded: Vec<String> = diagnosis
+        .degraded
+        .iter()
+        .map(|(shard, reason)| format!("{shard}:{reason}"))
+        .collect();
+    Ok(format!(
+        "PARTIAL DIAG {fields} covered={}/{} degraded={}",
+        diagnosis.covered,
+        source.fault_count(),
+        degraded.join(","),
+    ))
 }
 
 /// Fetches one shard: the resident copy when warm, else loads the shard
@@ -1163,143 +1227,6 @@ fn fetch_whole(
     Ok(shared.registry.insert_decoded(name, image, dictionary))
 }
 
-/// Do two cone bitmaps share an output?
-fn cone_intersects(a: &BitVec, b: &BitVec) -> bool {
-    a.as_words().zip(b.as_words()).any(|(x, y)| x & y != 0)
-}
-
-/// The typed failure when *no* shard of a sharded dictionary could serve a
-/// request — degradation has nothing left to degrade to.
-fn all_shards_failed(count: usize, last: Option<SddError>) -> SddError {
-    match last {
-        Some(e) => SddError::invalid(format!("all {count} shards unavailable; last error: {e}")),
-        None => SddError::invalid(format!(
-            "request deadline exceeded before any of {count} shards loaded"
-        )),
-    }
-}
-
-/// Diagnoses against a sharded dictionary: loads shards lazily in
-/// cone-priority order, scores *every available* shard (cones only order
-/// loading — see the module docs), and merges the rankings into the same
-/// reply the unsharded dictionary would produce.
-///
-/// Availability is where degradation enters: a shard that is missing,
-/// corrupt, or cut off by the request deadline is dropped from the merge
-/// and recorded, and the reply verdict becomes `PARTIAL` with
-/// `covered=<faults>/<total>` and a `degraded=<shard>:<reason>,...` list.
-/// Because [`shard::diagnose_sharded`] merges any consistent shard subset,
-/// the degraded ranking is bit-identical to diagnosing the explicit
-/// sub-dictionary of the shards that did load.
-fn diagnose_sharded_reply(
-    name: &str,
-    reader: &Arc<ShardedReader>,
-    obs: &str,
-    shared: &Arc<Shared>,
-    scratch: &mut Scratch,
-    clock: &RequestClock,
-) -> Result<String, SddError> {
-    let manifest = reader.manifest();
-    let count = reader.shard_count();
-    // Parse once, in the shape the manifest kind expects.
-    let signature: Option<MaskedBitVec> = match manifest.kind {
-        sdd_store::DictionaryKind::PassFail => Some(obs.parse()?),
-        _ => {
-            parse_responses(obs, &mut scratch.responses)?;
-            None
-        }
-    };
-    // Per-shard fate this request: a shard that fails is probed once and
-    // remembered, not retried by every later step.
-    let mut failures: Vec<Option<&'static str>> = vec![None; count];
-    let mut last_error: Option<SddError> = None;
-    // Cone-priority order: load shards whose recorded cone intersects the
-    // observation's failing outputs first. Pass/fail observations carry no
-    // per-output information, so they keep index order.
-    let mut order: Vec<usize> = (0..count).collect();
-    if signature.is_none() {
-        // Failing outputs need one reference dictionary (shards share
-        // per-test output dimensions); prefer a warm shard, else the first
-        // cold one that still loads.
-        let mut reference =
-            (0..count).find_map(|i| shared.registry.resident_shard(name, reader, i));
-        if reference.is_none() {
-            for (index, failure) in failures.iter_mut().enumerate() {
-                match fetch_shard(name, reader, index, shared) {
-                    Ok(d) => {
-                        reference = Some(d);
-                        break;
-                    }
-                    Err(e) => {
-                        *failure = Some(error_token(&e));
-                        last_error = Some(e);
-                    }
-                }
-            }
-        }
-        let Some(reference) = reference else {
-            return Err(all_shards_failed(count, last_error));
-        };
-        let failing = shard::failing_outputs(&reference, &scratch.responses)?;
-        if failing.any() {
-            order.sort_by_key(|&i| (!cone_intersects(&manifest.shards[i].cone, &failing), i));
-        }
-    }
-    let mut fetched: Vec<(usize, Arc<StoredDictionary>)> = Vec::with_capacity(count);
-    for index in order {
-        if failures[index].is_some() {
-            continue;
-        }
-        let fault_start = manifest.shards[index].fault_start;
-        if clock.expired() {
-            // Out of time: shards already resident still join the merge (a
-            // registry hit is a lock and a clone, not I/O); cold shards
-            // become degraded coverage instead of a blown deadline.
-            match shared.registry.resident_shard(name, reader, index) {
-                Some(d) => fetched.push((fault_start, d)),
-                None => failures[index] = Some("deadline"),
-            }
-            continue;
-        }
-        match fetch_shard(name, reader, index, shared) {
-            Ok(d) => fetched.push((fault_start, d)),
-            Err(e) => {
-                failures[index] = Some(error_token(&e));
-                last_error = Some(e);
-            }
-        }
-    }
-    if fetched.is_empty() {
-        return Err(all_shards_failed(count, last_error));
-    }
-    fetched.sort_unstable_by_key(|&(fault_start, _)| fault_start);
-    let shards: Vec<(usize, &StoredDictionary)> = fetched
-        .iter()
-        .map(|(fault_start, d)| (*fault_start, d.as_ref()))
-        .collect();
-    let observation = match &signature {
-        Some(signature) => ShardObservation::Signature(signature),
-        None => ShardObservation::Responses(&scratch.responses),
-    };
-    let report = shard::diagnose_sharded(&shards, observation)?;
-    let fields = report_fields(report.quality, report.known, &report.ranking);
-    let degraded: Vec<String> = failures
-        .iter()
-        .enumerate()
-        .filter_map(|(index, failure)| failure.map(|reason| format!("{index}:{reason}")))
-        .collect();
-    if degraded.is_empty() {
-        return Ok(format!("OK DIAG {fields}"));
-    }
-    shared.partial.fetch_add(1, Ordering::Relaxed);
-    let covered: usize = fetched.iter().map(|(_, d)| d.fault_count()).sum();
-    Ok(format!(
-        "PARTIAL DIAG {fields} covered={covered}/{total} degraded={}",
-        degraded.join(","),
-        total = manifest.faults,
-    ))
-}
-
 /// The serve-side [`ShardSource`]: shards fetch lazily through the LRU
 /// registry, so a warm shard costs a registry hit and a cold one loads
 /// (and may evict elsewhere) — exactly the `DIAG` economics, applied per
@@ -1311,14 +1238,13 @@ struct RegistrySource<'a> {
 }
 
 impl ShardSource for RegistrySource<'_> {
-    fn kind(&self) -> DictionaryKind {
-        self.reader.manifest().kind
-    }
-    fn tests(&self) -> usize {
-        self.reader.manifest().tests
-    }
-    fn outputs(&self) -> usize {
-        self.reader.manifest().outputs
+    fn shape(&self) -> Shape {
+        let manifest = self.reader.manifest();
+        Shape {
+            kind: manifest.kind,
+            tests: manifest.tests,
+            outputs: manifest.outputs,
+        }
     }
     fn fault_count(&self) -> usize {
         self.reader.manifest().faults
@@ -1329,8 +1255,8 @@ impl ShardSource for RegistrySource<'_> {
     fn fault_start(&self, shard: usize) -> usize {
         self.reader.manifest().shards[shard].fault_start
     }
-    fn fetch(&self, shard: usize) -> Result<Arc<StoredDictionary>, FetchError> {
-        fetch_shard(self.name, &self.reader, shard, self.shared).map_err(|e| FetchError::from(&e))
+    fn fetch(&self, shard: usize) -> Result<Arc<StoredDictionary>, SddError> {
+        fetch_shard(self.name, &self.reader, shard, self.shared)
     }
     fn resident(&self, shard: usize) -> Option<Arc<StoredDictionary>> {
         self.shared
@@ -1400,18 +1326,10 @@ pub(crate) fn execute_volume(
             return push_line(out, &err_reply(&format!("bad option {token:?}")));
         }
     }
-    let source: Box<dyn ShardSource + '_> = match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-        Fetched::WholeCold(image) => match fetch_whole(name, &image, shared) {
-            Ok(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-            Err(e) => return push_line(out, &err_reply(&e.to_string())),
-        },
-        Fetched::Sharded(shard_reader) => Box::new(RegistrySource {
-            name,
-            reader: shard_reader,
-            shared,
-        }),
-        Fetched::Missing => {
+    let source = match resolve(name, shared) {
+        Some(Ok(source)) => source,
+        Some(Err(e)) => return push_line(out, &err_reply(&e.to_string())),
+        None => {
             return push_line(
                 out,
                 &err_reply(&format!("no dictionary loaded as {name:?}")),
@@ -1442,70 +1360,25 @@ pub(crate) fn execute_volume(
     }
 }
 
-/// Routes one observation through the masked-diagnosis ladder of the named
-/// dictionary kind, reusing the worker's scratch buffers.
-fn diagnose(
-    dictionary: &StoredDictionary,
-    obs: &str,
-    scratch: &mut Scratch,
-) -> Result<String, SddError> {
-    match dictionary {
-        StoredDictionary::PassFail(d) => {
-            let observed: MaskedBitVec = obs.parse()?;
-            let (quality, known) =
-                match_signatures_masked_into(d.signatures(), &observed, &mut scratch.ranking)?;
-            Ok(format_report(quality, known, &scratch.ranking))
-        }
-        StoredDictionary::SameDifferent(d) => {
-            parse_responses(obs, &mut scratch.responses)?;
-            let observed = d.encode_observed_masked(&scratch.responses)?;
-            let (quality, known) =
-                match_signatures_masked_into(d.signatures(), &observed, &mut scratch.ranking)?;
-            Ok(format_report(quality, known, &scratch.ranking))
-        }
-        StoredDictionary::Full(d) => {
-            parse_responses(obs, &mut scratch.responses)?;
-            let report = d.diagnose_masked(&scratch.responses)?;
-            Ok(format_report(report.quality, report.known, &report.ranking))
-        }
-    }
-}
-
-/// Parses `01X/1X0/...` into the reusable per-test response buffer.
-fn parse_responses(obs: &str, responses: &mut Vec<MaskedBitVec>) -> Result<(), SddError> {
-    responses.clear();
-    for token in obs.split('/') {
-        responses.push(token.parse()?);
-    }
-    Ok(())
-}
-
-/// Formats the shared field tail of a diagnosis reply:
+/// Formats the field tail of a diagnosis reply:
 /// `quality=<q> known=<b> distance=<d> best=<i,j> top=<f:miss:conf,...>`.
 /// The caller prepends the verdict (`OK DIAG` or `PARTIAL DIAG`).
-fn report_fields(quality: MatchQuality, known: usize, ranking: &[ScoredCandidate]) -> String {
-    let distance = ranking.first().map_or(0, |c| c.mismatches);
-    let best: Vec<String> = ranking
-        .iter()
-        .take_while(|c| c.mismatches == distance)
-        .map(|c| c.fault.to_string())
-        .collect();
-    let top: Vec<String> = ranking
+fn report_fields(report: &NoisyDiagnosisReport) -> String {
+    let best: Vec<String> = report.best.iter().map(ToString::to_string).collect();
+    let top: Vec<String> = report
+        .ranking
         .iter()
         .take(TOP_CANDIDATES)
         .map(|c| format!("{}:{}:{:.4}", c.fault, c.mismatches, c.confidence))
         .collect();
     format!(
-        "quality={} known={known} distance={distance} best={} top={}",
-        quality_name(quality),
+        "quality={} known={} distance={} best={} top={}",
+        quality_name(report.quality),
+        report.known,
+        report.distance(),
         best.join(","),
         top.join(","),
     )
-}
-
-/// Formats a complete-evidence ranked diagnosis as a single `OK DIAG` line.
-fn format_report(quality: MatchQuality, known: usize, ranking: &[ScoredCandidate]) -> String {
-    format!("OK DIAG {}", report_fields(quality, known, ranking))
 }
 
 /// A minimal blocking client for the line protocol — what the smoke tests,
@@ -1850,14 +1723,34 @@ mod tests {
 
     #[test]
     fn diagnose_formats_the_ladder() {
+        let handle = serve(&ServeConfig::default()).unwrap();
+        handle.shared.registry.insert("pf", pf(), 0);
         let mut scratch = Scratch::default();
-        let d = pf();
-        let reply = diagnose(&d, "01", &mut scratch).unwrap();
+        let mut diag = |obs: &str| {
+            let mut out = Vec::new();
+            let clock = RequestClock::new(None);
+            execute_line(
+                &format!("DIAG pf {obs}"),
+                &handle.shared,
+                &mut scratch,
+                &clock,
+                &mut out,
+            );
+            String::from_utf8(out).unwrap()
+        };
+        let reply = diag("01");
         assert!(reply.starts_with("OK DIAG quality=exact"), "{reply}");
-        assert!(reply.contains("best=0"), "{reply}");
-        let reply = diagnose(&d, "0X", &mut scratch).unwrap();
+        assert!(reply.contains("best=0 "), "{reply}");
+        let reply = diag("0X");
         assert!(reply.contains("quality=consistent"), "{reply}");
-        // Width mismatch is an ERR-able typed error, not a panic.
-        assert!(diagnose(&d, "011", &mut scratch).is_err());
+        // A width mismatch is a typed error naming the dictionary's width,
+        // not a panic.
+        let reply = diag("011");
+        assert_eq!(
+            reply,
+            "ERR observed signature: width 3 does not match expected 2\n"
+        );
+        handle.shutdown();
+        handle.wait();
     }
 }

@@ -2,16 +2,19 @@
 //! shard must answer `PARTIAL` verdicts whose ranking is **bit-identical**
 //! to diagnosing against the explicit sub-dictionary of the shards that
 //! remain — a missing shard is just another form of masked evidence — and
-//! whose `covered=` field reports exact fault coverage.
+//! whose `covered=` field reports exact fault coverage. The request
+//! deadline bounds every shard load, the first one included, and a
+//! malformed observation is refused before any shard loads.
 
 use same_different::serve::{serve, Client, ServeConfig};
-use same_different::store::{self, ShardedReader, StoredDictionary};
+use same_different::store::{self, ShardManifest, ShardedReader, StoredDictionary};
 use same_different::volume::shard::{self, ShardObservation};
 use same_different::Experiment;
 use sdd_core::diagnose::{MatchQuality, ScoredCandidate};
 use sdd_core::Procedure1Options;
 use sdd_logic::{BitVec, MaskedBitVec};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Mirrors the server's reply-field formatting (`quality= known= distance=
 /// best= top=`), so the test can reconstruct the exact line the server must
@@ -40,13 +43,22 @@ fn reply_fields(quality: MatchQuality, known: usize, ranking: &[ScoredCandidate]
     )
 }
 
-#[test]
-fn quarantined_shard_yields_bit_identical_partial_verdicts() {
+/// An s298-shaped same/different dictionary cut into 3 cone shards under
+/// `dir`, with the observations of three injected faults, one per shard
+/// region.
+struct Fixture {
+    dir: PathBuf,
+    dictionary: StoredDictionary,
+    manifest_path: PathBuf,
+    manifest: ShardManifest,
+    observations: Vec<Vec<BitVec>>,
+}
+
+fn s298_shards(tag: &str) -> Fixture {
     let dir: PathBuf =
-        std::env::temp_dir().join(format!("sdd-degraded-serve-{}", std::process::id()));
+        std::env::temp_dir().join(format!("sdd-degraded-serve-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Build an s298-shaped dictionary and cut it into 3 cone shards.
     let exp = Experiment::iscas89("s298", 1).unwrap();
     let tests = exp.diagnostic_tests(&Default::default());
     let suite = exp.build_dictionaries(
@@ -57,7 +69,6 @@ fn quarantined_shard_yields_bit_identical_partial_verdicts() {
         },
     );
     let dictionary = StoredDictionary::SameDifferent(suite.same_different);
-    let total_faults = dictionary.fault_count();
     let cones = same_different::sim::OutputCones::compute(exp.circuit(), exp.view());
     let ranges = cones.shard_ranges(exp.universe(), exp.faults(), 3);
     let shard_cones: Vec<BitVec> = ranges
@@ -89,6 +100,54 @@ fn quarantined_shard_yields_bit_identical_partial_verdicts() {
                 .collect()
         })
         .collect();
+    Fixture {
+        dir,
+        dictionary,
+        manifest_path,
+        manifest,
+        observations,
+    }
+}
+
+/// Starts a server and loads the fixture's (cold) manifest as `s298`.
+fn serve_cold(
+    fixture: &Fixture,
+    config: ServeConfig,
+) -> (same_different::serve::ServerHandle, Client) {
+    let handle = serve(&config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let reply = client
+        .request(&format!("LOAD s298 {}", fixture.manifest_path.display()))
+        .unwrap();
+    assert!(reply.starts_with("OK LOADED"), "{reply}");
+    (handle, client)
+}
+
+/// The `shards=<resident>/<total>` field of a `STATS` reply.
+fn shard_residency(client: &mut Client) -> String {
+    let stats = client.request("STATS").unwrap();
+    stats
+        .split_whitespace()
+        .find(|t| t.starts_with("shards="))
+        .unwrap_or_else(|| panic!("no shards= in {stats}"))
+        .to_owned()
+}
+
+fn wire(responses: &[BitVec]) -> String {
+    let obs: Vec<String> = responses.iter().map(ToString::to_string).collect();
+    obs.join("/")
+}
+
+#[test]
+fn quarantined_shard_yields_bit_identical_partial_verdicts() {
+    let Fixture {
+        dir,
+        dictionary,
+        manifest_path,
+        manifest,
+        observations,
+    } = s298_shards("quarantine");
+    let total_faults = dictionary.fault_count();
 
     // Corrupt the middle shard, verify, quarantine: the serving directory
     // now holds a clean two-shard degraded set.
@@ -182,4 +241,51 @@ fn quarantined_shard_yields_bit_identical_partial_verdicts() {
     client.request("SHUTDOWN").unwrap();
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_request_deadline_bounds_the_first_shard_load() {
+    let fixture = s298_shards("deadline");
+    let (handle, mut client) = serve_cold(
+        &fixture,
+        ServeConfig {
+            workers: 1,
+            request_deadline: Some(Duration::ZERO),
+            ..ServeConfig::default()
+        },
+    );
+    // Nothing is resident and no time is left: not even the shard that
+    // would find the failing outputs may load.
+    let reply = client
+        .request(&format!("DIAG s298 {}", wire(&fixture.observations[0])))
+        .unwrap();
+    assert_eq!(
+        reply,
+        "ERR invalid input: request deadline exceeded before any of 3 shards loaded"
+    );
+    assert_eq!(shard_residency(&mut client), "shards=0/3");
+    client.request("SHUTDOWN").unwrap();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&fixture.dir);
+}
+
+#[test]
+fn a_malformed_observation_loads_no_shard() {
+    let fixture = s298_shards("malformed");
+    let (handle, mut client) = serve_cold(&fixture, ServeConfig::default());
+    let responses = &fixture.observations[0];
+    let short = wire(&responses[..responses.len() - 1]);
+    let reply = client.request(&format!("DIAG s298 {short}")).unwrap();
+    assert_eq!(
+        reply,
+        format!(
+            "ERR responses per test: got {}, expected {}",
+            responses.len() - 1,
+            responses.len()
+        )
+    );
+    assert_eq!(shard_residency(&mut client), "shards=0/3");
+    client.request("SHUTDOWN").unwrap();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&fixture.dir);
 }

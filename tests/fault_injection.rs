@@ -249,8 +249,8 @@ fn misshapen_observations_are_errors_everywhere() {
         .collect();
     assert!(r.sd.diagnose_masked(&wrong_width).is_err());
     assert!(r.full.diagnose_masked(&wrong_width).is_err());
-    let narrow: BitVec = "0".parse().unwrap();
-    assert!(r.pf.diagnose(&narrow).is_err());
+    let narrow = MaskedBitVec::from_known("0".parse().unwrap());
+    assert!(r.pf.diagnose_masked(&narrow).is_err());
 }
 
 /// The ISSUE's budget acceptance test: Procedure 1 under a zero-duration

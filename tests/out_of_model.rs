@@ -5,7 +5,7 @@ use same_different::dict::{
     select_baselines, FullDictionary, Procedure1Options, SameDifferentDictionary,
 };
 use same_different::fault::{BridgeKind, Defect, FaultSite};
-use same_different::logic::BitVec;
+use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::sim::reference;
 use same_different::Experiment;
 
@@ -20,6 +20,11 @@ fn observed(exp: &Experiment, defect: &Defect, tests: &[BitVec]) -> Vec<BitVec> 
         .iter()
         .map(|t| reference::defect_response(exp.circuit(), exp.view(), defect, t))
         .collect()
+}
+
+/// Observed responses as clean observations: every bit known.
+fn clean(responses: &[BitVec]) -> Vec<MaskedBitVec> {
+    responses.iter().cloned().map(MaskedBitVec::from).collect()
 }
 
 fn site_of(exp: &Experiment, pos: usize) -> same_different::netlist::NetId {
@@ -67,10 +72,11 @@ fn bridges_on_c17_are_localized_by_nearest_match() {
                         .iter()
                         .any(|&pos| plausible.contains(&site_of(&exp, pos)))
                 };
-                if hit(sd.diagnose(&responses).unwrap().candidates()) {
+                let responses = clean(&responses);
+                if hit(sd.diagnose_masked(&responses).unwrap().candidates()) {
                     sd_hits += 1;
                 }
-                if hit(full.diagnose(&responses).unwrap().candidates()) {
+                if hit(full.diagnose_masked(&responses).unwrap().candidates()) {
                     full_hits += 1;
                 }
             }
@@ -115,7 +121,7 @@ fn double_faults_diagnose_to_one_component_often() {
             }
             injected += 1;
             let plausible = defect.plausible_sites();
-            let report = full.diagnose(&responses).unwrap();
+            let report = full.diagnose_masked(&clean(&responses)).unwrap();
             if report
                 .candidates()
                 .iter()

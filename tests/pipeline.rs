@@ -2,13 +2,18 @@
 //! faults → ATPG → simulation → dictionaries → diagnosis.
 
 use same_different::atpg::AtpgOptions;
-use same_different::dict::diagnose::{observed_responses, two_phase_diagnose};
+use same_different::dict::diagnose::{observed_responses, two_phase_diagnose_masked, MatchQuality};
 use same_different::dict::{
     replace_baselines, select_baselines, FullDictionary, PassFailDictionary, Procedure1Options,
     SameDifferentDictionary,
 };
-use same_different::logic::BitVec;
+use same_different::logic::{BitVec, MaskedBitVec};
 use same_different::Experiment;
+
+/// Simulated responses as clean observations: every bit known.
+fn clean(responses: Vec<BitVec>) -> Vec<MaskedBitVec> {
+    responses.into_iter().map(MaskedBitVec::from).collect()
+}
 
 fn exhaustive_tests() -> Vec<BitVec> {
     (0u32..32)
@@ -86,15 +91,18 @@ fn every_injected_fault_is_diagnosed_by_every_dictionary() {
 
     for (pos, &id) in exp.faults().iter().enumerate() {
         let fault = exp.universe().fault(id);
-        let observed = observed_responses(exp.circuit(), exp.view(), fault, &tests);
-        let observed_pf: BitVec = observed
-            .iter()
-            .enumerate()
-            .map(|(t, r)| r != matrix.good_response(t))
-            .collect();
+        let responses = observed_responses(exp.circuit(), exp.view(), fault, &tests);
+        let observed_pf = MaskedBitVec::from_known(
+            responses
+                .iter()
+                .enumerate()
+                .map(|(t, r)| r != matrix.good_response(t))
+                .collect(),
+        );
+        let observed = clean(responses);
 
         assert!(
-            pf.diagnose(&observed_pf)
+            pf.diagnose_masked(&observed_pf)
                 .unwrap()
                 .candidates()
                 .contains(&pos),
@@ -102,14 +110,18 @@ fn every_injected_fault_is_diagnosed_by_every_dictionary() {
             fault.describe(exp.circuit())
         );
         assert!(
-            sd.diagnose(&observed).unwrap().candidates().contains(&pos),
+            sd.diagnose_masked(&observed)
+                .unwrap()
+                .candidates()
+                .contains(&pos),
             "same/different misses {}",
             fault.describe(exp.circuit())
         );
-        let report = full.diagnose(&observed).unwrap();
-        assert_eq!(report.exact, vec![pos], "full dictionary is exact on c17");
+        let report = full.diagnose_masked(&observed).unwrap();
+        assert_eq!(report.quality, MatchQuality::Exact);
+        assert_eq!(report.best, vec![pos], "full dictionary is exact on c17");
 
-        let ranked = two_phase_diagnose(
+        let ranked = two_phase_diagnose_masked(
             exp.circuit(),
             exp.view(),
             exp.universe(),
@@ -142,11 +154,12 @@ fn same_different_diagnosis_is_never_coarser_than_its_partition() {
     let partition = sd.partition();
     for pos in 0..exp.faults().len() {
         let fault = exp.universe().fault(exp.faults()[pos]);
-        let observed = observed_responses(exp.circuit(), exp.view(), fault, &tests);
-        let report = sd.diagnose(&observed).unwrap();
+        let observed = clean(observed_responses(exp.circuit(), exp.view(), fault, &tests));
+        let report = sd.diagnose_masked(&observed).unwrap();
         let expected: Vec<usize> = (0..exp.faults().len())
             .filter(|&other| partition.group_of(other) == partition.group_of(pos))
             .collect();
-        assert_eq!(report.exact, expected, "fault position {pos}");
+        assert_eq!(report.quality, MatchQuality::Exact, "fault position {pos}");
+        assert_eq!(report.best, expected, "fault position {pos}");
     }
 }
