@@ -2,7 +2,8 @@
 # Offline CI gate for the workspace. No network access required: the
 # workspace has no third-party dependencies.
 #
-#   ./ci.sh          full gate: build, test, examples, chaos, fmt, doc, clippy
+#   ./ci.sh          full gate: build, test, perfbench serve/volume correctness,
+#                    examples, chaos, fmt, doc, clippy
 #   ./ci.sh quick    build + root-package tests only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -32,6 +33,17 @@ step "perfbench unit tests (the benchmark's own package)"
 # merge_shard_rankings and MaskedBitVec parsing; building and testing it
 # here makes an API change fail CI before it fails a benchmark run.
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
+step "perfbench serve and volume correctness gates (2 s each, seed 7)"
+# Short untraced runs of the two serving workloads. perfbench checks every
+# DIAG reply against the in-process best set (serve) and every lot's
+# counts (volume), and exits nonzero when a check fails, so a change to
+# reply bytes fails here before a benchmark comparison sees it. Their
+# timings are not gated: two seconds on a shared host measure nothing.
+for workload in serve volume; do
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 0
+done
 
 step "examples (every one runs to completion)"
 # Each example under examples/ runs once with its default arguments. Most

@@ -9,7 +9,7 @@
 //! reaches full-dictionary resolution once every response class of a test
 //! is distinguishable by the chosen baselines.
 
-use sdd_logic::{BitVec, SddError};
+use sdd_logic::BitVec;
 use sdd_sim::{Partition, ResponseMatrix};
 
 use crate::score_candidates;
@@ -110,37 +110,6 @@ impl MultiBaselineDictionary {
     pub fn indistinguished_pairs(&self) -> u64 {
         self.partition().indistinguished_pairs()
     }
-
-    /// Encodes observed per-test responses into a comparable signature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SddError::CountMismatch`] when the number of responses
-    /// differs from the test count, and [`SddError::WidthMismatch`] when a
-    /// response's width differs from its baselines'.
-    pub fn encode_observed(&self, responses: &[BitVec]) -> Result<BitVec, SddError> {
-        if responses.len() != self.baselines.len() {
-            return Err(SddError::CountMismatch {
-                context: "responses per test",
-                expected: self.baselines.len(),
-                actual: responses.len(),
-            });
-        }
-        let mut bits = BitVec::new();
-        for (observed, baselines) in responses.iter().zip(&self.baselines) {
-            for b in baselines {
-                if observed.len() != b.len() {
-                    return Err(SddError::WidthMismatch {
-                        context: "observed response width",
-                        expected: b.len(),
-                        actual: observed.len(),
-                    });
-                }
-                bits.push(observed != b);
-            }
-        }
-        Ok(bits)
-    }
 }
 
 /// Greedily selects up to `per_test` baselines for every test: each test
@@ -226,19 +195,6 @@ mod tests {
         // must not pile on useless ones.
         let total: usize = baselines.iter().map(Vec::len).sum();
         assert!(total <= 4, "greedy kept {total} baselines");
-    }
-
-    #[test]
-    fn encode_observed_matches_signature() {
-        let m = paper_example();
-        let baselines = select_multi_baselines(&m, 2);
-        let d = MultiBaselineDictionary::build(&m, &baselines);
-        for fault in 0..m.fault_count() {
-            let responses: Vec<BitVec> = (0..m.test_count())
-                .map(|t| m.response(t, m.class(t, fault)))
-                .collect();
-            assert_eq!(d.encode_observed(&responses).unwrap(), *d.signature(fault));
-        }
     }
 
     #[test]

@@ -298,10 +298,15 @@ pub fn read_same_different_auto(
             ))),
         }
     } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| SddError::invalid("dictionary file is neither .sddb nor UTF-8 text"))?;
-        sdd_core::io::read_same_different(text).map_err(SddError::from)
+        parse_text(bytes)
     }
+}
+
+/// Parses the v1 text form of a same/different dictionary.
+fn parse_text(bytes: &[u8]) -> Result<SameDifferentDictionary, SddError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| SddError::invalid("dictionary file is neither .sddb nor UTF-8 text"))?;
+    sdd_core::io::read_same_different(text).map_err(SddError::from)
 }
 
 /// Loads a same/different dictionary from a file in either format
@@ -312,24 +317,7 @@ pub fn read_same_different_auto(
 /// [`SddError::Io`] when the file cannot be read, otherwise as
 /// [`read_same_different_auto`].
 pub fn load_same_different(path: impl AsRef<Path>) -> Result<SameDifferentDictionary, SddError> {
-    load_same_different_with(path, MmapMode::Off)
-}
-
-/// [`load_same_different`] with an explicit mapping mode: under
-/// [`MmapMode::Auto`]/[`MmapMode::On`] the file's pages are borrowed from
-/// the page cache for the duration of the decode instead of being copied
-/// into an owned buffer first.
-///
-/// # Errors
-///
-/// As [`load_same_different`], plus [`read_dictionary_bytes`]'s mapping
-/// errors.
-pub fn load_same_different_with(
-    path: impl AsRef<Path>,
-    mode: MmapMode,
-) -> Result<SameDifferentDictionary, SddError> {
-    let bytes = read_dictionary_bytes(path, mode)?;
-    read_same_different_auto(&bytes)
+    read_same_different_auto(read_dictionary_file(path)?)
 }
 
 #[cfg(test)]

@@ -11,6 +11,11 @@
 //! output cone of the shard's faults (which failing outputs could
 //! implicate it — used to prioritize lazy loads, never to skip scoring).
 //!
+//! [`ShardedReader::open_with`] is the one opener for every artifact form:
+//! a whole `.sddb` or v1 text dictionary opens as a set of one shard (the
+//! file itself, covering every fault, with no recorded cone), so each
+//! consumer reads a whole file and a shard set through the same reader.
+//!
 //! All integers are little-endian, mirroring the `.sddb` format:
 //!
 //! ```text
@@ -53,8 +58,8 @@ pub const MANIFEST_VERSION: u16 = 1;
 /// Fixed manifest header size in bytes.
 pub const MANIFEST_HEADER_LEN: usize = 64;
 
-/// True when `bytes` starts with the manifest magic — the sniff `sdd serve`
-/// uses to route `LOAD` between whole `.sddb` files and sharded sets.
+/// True when `bytes` starts with the manifest magic — the sniff
+/// [`ShardedReader::open_with`] routes whole files and shard sets by.
 pub fn is_manifest(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[0..4] == MANIFEST_MAGIC
 }
@@ -113,6 +118,18 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
+    /// The shard that owns global fault `fault`: shards tile the fault list
+    /// in ascending order, so it is the last one starting at or before
+    /// `fault`. `None` past the last fault.
+    pub fn shard_of(&self, fault: usize) -> Option<usize> {
+        if fault >= self.faults {
+            return None;
+        }
+        self.shards
+            .partition_point(|s| s.fault_start <= fault)
+            .checked_sub(1)
+    }
+
     /// Serializes the manifest, computing both checksums.
     ///
     /// # Errors
@@ -417,13 +434,7 @@ pub fn write_sharded(
         let header = *SddbReader::open(&bytes)?.header();
         let cone = match cones {
             Some(cones) => cones[index].clone(),
-            None => {
-                let mut all = BitVec::zeros(outputs);
-                for o in 0..outputs {
-                    all.set(o, true);
-                }
-                all
-            }
+            None => all_outputs(outputs),
         };
         if cone.len() != outputs {
             return Err(SddError::WidthMismatch {
@@ -460,49 +471,137 @@ pub fn write_sharded(
     Ok(manifest)
 }
 
-/// Manifest-aware access to a sharded dictionary set on disk.
+/// The all-ones cone of `outputs` bits: a shard that may affect every
+/// output, recorded when no cone information is available.
+fn all_outputs(outputs: usize) -> BitVec {
+    std::iter::repeat_n(true, outputs).collect()
+}
+
+/// The file layout behind a [`ShardedReader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// A `.sddm` manifest naming `.sddb` shard files.
+    Manifest,
+    /// One whole `.sddb` file, the set's only shard.
+    Binary,
+    /// One whole v1 text file, the set's only shard.
+    Text,
+}
+
+/// Access to a dictionary artifact on disk as a set of shards.
 ///
-/// The reader holds only the decoded manifest;
-/// [`load_shard`](Self::load_shard) reads, verifies, and decodes one shard
-/// on demand, so a service can keep cold shards off the heap entirely and a
-/// diagnosis driver can load them in cone-priority order.
+/// A `.sddm` manifest names its shard files; a whole `.sddb` or v1 text
+/// file is a set of one shard, the file itself (see
+/// [`open_with`](Self::open_with)). The reader holds only the decoded
+/// manifest; [`load_shard`](Self::load_shard) reads, verifies, and decodes
+/// one shard on demand, so a service can keep cold shards off the heap
+/// entirely and a diagnosis driver can load them in cone-priority order.
 #[derive(Debug, Clone)]
 pub struct ShardedReader {
     manifest: ShardManifest,
     dir: PathBuf,
     mode: MmapMode,
+    layout: Layout,
+    /// A v1 text file's parse from opening, until
+    /// [`take_parsed`](Self::take_parsed) hands it out.
+    parsed: Option<StoredDictionary>,
 }
 
 impl ShardedReader {
-    /// Reads and validates the manifest at `path`, with shard files read
-    /// into owned buffers (see [`open_with`](Self::open_with) for the
-    /// zero-copy mapped mode).
+    /// Opens the artifact at `path` with shard files read into owned
+    /// buffers (see [`open_with`](Self::open_with) for the zero-copy
+    /// mapped mode).
     ///
     /// # Errors
     ///
-    /// [`SddError::Io`] when the file cannot be read, plus every
-    /// [`ShardManifest::decode`] error.
+    /// As [`open_with`](Self::open_with).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SddError> {
         Self::open_with(path, MmapMode::Off)
     }
 
-    /// [`open`](Self::open) with an explicit shard byte-ownership mode:
-    /// under [`MmapMode::Auto`]/[`MmapMode::On`] every shard load maps the
-    /// shard file instead of copying it to the heap. The manifest itself
-    /// is always read whole — it is kilobytes, and its decode borrows
-    /// nothing.
+    /// Opens the artifact at `path`, checking its magic bytes once, with an
+    /// explicit shard byte-ownership mode: under
+    /// [`MmapMode::Auto`]/[`MmapMode::On`] every shard load maps the shard
+    /// file instead of copying it to the heap.
+    ///
+    /// * A `.sddm` manifest is decoded and validated; no shard is read.
+    /// * A whole `.sddb` is validated (header, length and payload checksum)
+    ///   but not decoded. It opens as one record covering faults `0..n`,
+    ///   with the header's payload length and checksum and no recorded
+    ///   cone: the record carries the all-ones cone, and
+    ///   [`fault_cone`](Self::fault_cone) answers `None`.
+    /// * Anything else is parsed as a v1 text same/different dictionary,
+    ///   which carries no checksum to validate against. It opens as one
+    ///   record whose checksum is the FNV-1a 64 of the file, and the parse
+    ///   is kept for [`take_parsed`](Self::take_parsed). Later loads read
+    ///   the text unmapped: its parse is heap data in every mode.
     ///
     /// # Errors
     ///
-    /// As [`open`](Self::open).
+    /// [`SddError::Io`] when the file cannot be read, plus every
+    /// [`ShardManifest::decode`], [`SddbReader::open`] or text parse error.
     pub fn open_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<Self, SddError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| SddError::io(format!("read manifest {}", path.display()), &e))?;
+        let bytes = read_dictionary_bytes(path, mode)?;
+        let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
+        if is_manifest(&bytes) {
+            return Ok(Self {
+                manifest: ShardManifest::decode(&bytes)?,
+                dir,
+                mode,
+                layout: Layout::Manifest,
+                parsed: None,
+            });
+        }
+        let file = path
+            .file_name()
+            .and_then(|name| name.to_str())
+            .ok_or_else(|| SddError::invalid(format!("{}: no UTF-8 file name", path.display())))?
+            .to_owned();
+        let (layout, header, parsed) = if crate::is_binary(&bytes) {
+            let header = *SddbReader::open(&bytes[..])?.header();
+            (Layout::Binary, header, None)
+        } else {
+            let d = crate::parse_text(&bytes)?;
+            let header = format::Header {
+                kind: DictionaryKind::SameDifferent,
+                tests: d.test_count(),
+                faults: d.fault_count(),
+                outputs: d.sizes().outputs as usize,
+                payload_len: bytes.len(),
+                payload_checksum: format::fnv1a64(&bytes),
+                patched: 0,
+            };
+            (
+                Layout::Text,
+                header,
+                Some(StoredDictionary::SameDifferent(d)),
+            )
+        };
+        let record = ShardRecord {
+            file,
+            fault_start: 0,
+            fault_count: header.faults,
+            payload_len: header.payload_len,
+            payload_checksum: header.payload_checksum,
+            cone: all_outputs(header.outputs),
+        };
         Ok(Self {
-            manifest: ShardManifest::decode(&bytes)?,
-            dir: path.parent().map(Path::to_path_buf).unwrap_or_default(),
-            mode,
+            manifest: ShardManifest {
+                kind: header.kind,
+                tests: header.tests,
+                faults: header.faults,
+                outputs: header.outputs,
+                shards: vec![record],
+            },
+            dir,
+            mode: if layout == Layout::Text {
+                MmapMode::Off
+            } else {
+                mode
+            },
+            layout,
+            parsed,
         })
     }
 
@@ -511,7 +610,7 @@ impl ShardedReader {
         self.mode
     }
 
-    /// The decoded manifest.
+    /// The decoded manifest (for a whole file, its one-record stand-in).
     pub fn manifest(&self) -> &ShardManifest {
         &self.manifest
     }
@@ -526,7 +625,31 @@ impl ShardedReader {
         &self.dir
     }
 
-    /// Reads shard `index` from disk, cross-checks it against the manifest
+    /// True when the set is one whole `.sddb` or v1 text file rather than
+    /// a `.sddm` manifest.
+    pub fn is_whole(&self) -> bool {
+        self.layout != Layout::Manifest
+    }
+
+    /// The recorded output cone of the shard owning global fault `fault`;
+    /// `None` for a whole file, which records no cone, and past the last
+    /// fault.
+    pub fn fault_cone(&self, fault: usize) -> Option<&BitVec> {
+        if self.is_whole() {
+            return None;
+        }
+        let index = self.manifest.shard_of(fault)?;
+        Some(&self.manifest.shards[index].cone)
+    }
+
+    /// Hands out, once, the dictionary a v1 text file was parsed into when
+    /// it was opened, so its first load need not parse it again; `None`
+    /// for every other layout and after the first call.
+    pub fn take_parsed(&mut self) -> Option<StoredDictionary> {
+        self.parsed.take()
+    }
+
+    /// Reads shard `index` from disk, cross-checks it against its record
     /// (payload length and checksum, dictionary kind, test/output counts,
     /// fault count), and decodes it.
     ///
@@ -534,10 +657,12 @@ impl ShardedReader {
     ///
     /// [`SddError::Invalid`] for an out-of-range index or dimension
     /// mismatches, [`SddError::ChecksumMismatch`] when the shard's payload
-    /// checksum disagrees with the manifest record, [`SddError::Io`] on
-    /// read failures, plus every `.sddb` decode error.
+    /// checksum disagrees with its record (for a whole file: the file
+    /// changed since it was opened), [`SddError::Io`] on read failures,
+    /// plus every `.sddb` decode or text parse error.
     pub fn load_shard(&self, index: usize) -> Result<StoredDictionary, SddError> {
-        self.shard_reader(index)?.dictionary()
+        self.load_shard_with_image(index)
+            .map(|(_, dictionary)| dictionary)
     }
 
     /// [`load_shard`](Self::load_shard), but also hands back the verified
@@ -554,15 +679,29 @@ impl ShardedReader {
         &self,
         index: usize,
     ) -> Result<(DictBytes, StoredDictionary), SddError> {
+        if self.layout == Layout::Text {
+            let record = self.record(index)?;
+            let bytes = read_dictionary_bytes(self.dir.join(&record.file), self.mode)?;
+            let computed = format::fnv1a64(&bytes);
+            if computed != record.payload_checksum {
+                return Err(SddError::ChecksumMismatch {
+                    context: "text dictionary vs its open",
+                    stored: record.payload_checksum,
+                    computed,
+                });
+            }
+            let dictionary = StoredDictionary::SameDifferent(crate::parse_text(&bytes)?);
+            return Ok((bytes, dictionary));
+        }
         let reader = self.shard_reader(index)?;
         let dictionary = reader.dictionary()?;
         Ok((reader.into_bytes(), dictionary))
     }
 
-    /// Verifies shard `index` end to end — read or map, header + payload
-    /// checksum, manifest cross-checks, full structural walk — without
-    /// decoding it into the heap: peak memory is one row. This is the
-    /// `sdd verify` path for dictionaries larger than RAM.
+    /// Verifies `.sddb` shard `index` end to end — read or map, header +
+    /// payload checksum, manifest cross-checks, full structural walk —
+    /// without decoding it into the heap: peak memory is one row. This is
+    /// the `sdd verify` path for dictionaries larger than RAM.
     ///
     /// # Errors
     ///
@@ -571,16 +710,21 @@ impl ShardedReader {
         self.shard_reader(index)?.validate_structure()
     }
 
-    /// Opens shard `index` and cross-checks it against the manifest
-    /// (payload length and checksum, dictionary kind, test/output counts,
-    /// fault count).
-    fn shard_reader(&self, index: usize) -> Result<SddbReader<DictBytes>, SddError> {
-        let record = self.manifest.shards.get(index).ok_or_else(|| {
+    /// Shard `index`'s record, or a typed out-of-range error.
+    fn record(&self, index: usize) -> Result<&ShardRecord, SddError> {
+        self.manifest.shards.get(index).ok_or_else(|| {
             SddError::invalid(format!(
                 "shard {index} out of range ({} shards)",
                 self.manifest.shards.len()
             ))
-        })?;
+        })
+    }
+
+    /// Opens `.sddb` shard `index` and cross-checks it against its record
+    /// (payload length and checksum, dictionary kind, test/output counts,
+    /// fault count).
+    fn shard_reader(&self, index: usize) -> Result<SddbReader<DictBytes>, SddError> {
+        let record = self.record(index)?;
         let path = self.dir.join(&record.file);
         let bytes = read_dictionary_bytes(&path, self.mode)?;
         let reader = SddbReader::open(bytes)?;
@@ -646,6 +790,92 @@ mod tests {
         let s1 = reader.load_shard(1).unwrap();
         assert_eq!(s0.fault_count() + s1.fault_count(), d.fault_count());
         assert!(reader.load_shard(2).is_err());
+    }
+
+    #[test]
+    fn the_owning_shard_is_the_last_starting_at_or_before_a_fault() {
+        let dir = std::env::temp_dir().join(format!("sddm_shard_of_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = write_sharded(dir.join("paper.sddm"), &fixture(), &[0..1, 1..4], None);
+        let manifest = written.unwrap();
+        let owners: Vec<Option<usize>> = (0..5).map(|f| manifest.shard_of(f)).collect();
+        assert_eq!(owners, [Some(0), Some(1), Some(1), Some(1), None]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_whole_file_opens_as_a_set_of_one_shard() {
+        let dir = std::env::temp_dir().join(format!("sddm_whole_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = fixture();
+        let path = dir.join("paper.sddb");
+        crate::save(&path, &d).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let header = *SddbReader::open(&bytes[..]).unwrap().header();
+        for mode in [MmapMode::Off, MmapMode::Auto] {
+            let mut reader = ShardedReader::open_with(&path, mode).unwrap();
+            assert!(reader.is_whole());
+            assert_eq!(reader.mode(), mode);
+            let record = &reader.manifest().shards[0];
+            assert_eq!(
+                (reader.shard_count(), record.file.as_str()),
+                (1, "paper.sddb")
+            );
+            assert_eq!(record.fault_range(), 0..d.fault_count());
+            assert_eq!(record.payload_checksum, header.payload_checksum);
+            assert_eq!(reader.manifest().kind, d.kind());
+            assert!(
+                reader.fault_cone(0).is_none(),
+                "a whole file records no cone"
+            );
+            assert!(
+                reader.take_parsed().is_none(),
+                "a binary file is not decoded"
+            );
+            assert_eq!(reader.load_shard(0).unwrap(), d);
+        }
+        // A checksum-bad file fails at open, with the decoder's error.
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(
+            ShardedReader::open(&path).unwrap_err(),
+            crate::decode(&bad).unwrap_err()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_text_file_opens_parsed_and_reloads_only_while_unchanged() {
+        let dir = std::env::temp_dir().join(format!("sddm_text_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let matrix = sdd_core::example::paper_example();
+        let sd = sdd_core::SameDifferentDictionary::build(&matrix, &[2, 1]);
+        let text = sdd_core::io::write_same_different(&sd);
+        let path = dir.join("paper.txt");
+        std::fs::write(&path, &text).unwrap();
+        let mut reader = ShardedReader::open_with(&path, MmapMode::Auto).unwrap();
+        assert!(reader.is_whole());
+        assert_eq!(reader.mode(), MmapMode::Off, "text is parsed, never mapped");
+        let record = &reader.manifest().shards[0];
+        assert_eq!(record.payload_checksum, format::fnv1a64(text.as_bytes()));
+        let parsed = StoredDictionary::SameDifferent(sd);
+        assert_eq!(reader.take_parsed(), Some(parsed.clone()));
+        assert_eq!(reader.take_parsed(), None, "handed out once");
+        assert_eq!(reader.load_shard(0).unwrap(), parsed);
+        // A rewritten file no longer matches what was opened.
+        std::fs::write(&path, text.replace("tests", "tests ")).unwrap();
+        assert!(matches!(
+            reader.load_shard(0),
+            Err(SddError::ChecksumMismatch { .. })
+        ));
+        // Malformed text fails at open.
+        std::fs::write(&path, "not a dictionary").unwrap();
+        assert!(matches!(
+            ShardedReader::open(&path),
+            Err(SddError::Parse { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -144,7 +144,8 @@ mod sys {
     }
 }
 
-/// A whole dictionary file mapped read-only into the address space.
+/// A whole dictionary file mapped read-only into the address space — made
+/// only by [`read_dictionary_bytes`], after its SIGBUS guard.
 ///
 /// The open [`File`] handle is retained so
 /// [`still_intact`](Self::still_intact) can fstat the *mapped inode* — a
@@ -168,43 +169,6 @@ impl std::fmt::Debug for DebugMapping {
 }
 
 impl MappedFile {
-    /// Maps the whole file at `path` read-only.
-    ///
-    /// This is the raw mapping constructor: it fstat-checks only that the
-    /// file is nonempty. Dictionary callers want [`read_dictionary_bytes`],
-    /// which additionally validates a binary header's declared length
-    /// against the file length *before* mapping — the SIGBUS guard.
-    ///
-    /// # Errors
-    ///
-    /// [`SddError::Io`] when the file cannot be opened, statted, or mapped
-    /// (including [`std::io::ErrorKind::Unsupported`] off Linux), and
-    /// [`SddError::Empty`] for a zero-length file (the kernel rejects
-    /// empty mappings).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, SddError> {
-        let path = path.as_ref();
-        let context = || path.display().to_string();
-        let file = File::open(path).map_err(|e| SddError::io(context(), &e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| SddError::io(context(), &e))?
-            .len();
-        let len = usize::try_from(len).map_err(|_| {
-            SddError::invalid(format!("{}: file length exceeds usize", path.display()))
-        })?;
-        if len == 0 {
-            return Err(SddError::Empty {
-                context: "mapped file",
-            });
-        }
-        let map = sys::Mapping::new(&file, len).map_err(|e| SddError::io(context(), &e))?;
-        Ok(Self {
-            map: DebugMapping(map),
-            file,
-            len,
-        })
-    }
-
     /// The mapped bytes.
     pub fn as_slice(&self) -> &[u8] {
         self.map.0.as_slice()
@@ -514,10 +478,6 @@ mod tests {
         let bytes = read_dictionary_bytes(&path, MmapMode::Auto).unwrap();
         assert!(!bytes.is_mapped());
         assert!(bytes.is_empty());
-        assert!(matches!(
-            MappedFile::open(&path),
-            Err(SddError::Empty { .. } | SddError::Io { .. })
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

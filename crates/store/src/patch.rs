@@ -268,13 +268,22 @@ pub fn patch_file(
 ///
 /// # Errors
 ///
-/// As [`patch_file`], plus every [`ShardedReader::open`] manifest error.
+/// As [`patch_file`], plus every [`ShardedReader::open`] error, and
+/// [`SddError::Invalid`] when `manifest_path` is a whole dictionary file
+/// rather than a manifest: [`patch_file`] rewrites those in place, and
+/// this function must never turn one into a manifest.
 pub fn patch_sharded(
     manifest_path: impl AsRef<Path>,
     patches: &[SdColumnPatch],
 ) -> Result<PatchStats, SddError> {
     let manifest_path = manifest_path.as_ref();
     let reader = ShardedReader::open(manifest_path)?;
+    if reader.is_whole() {
+        return Err(SddError::invalid(format!(
+            "{} is a whole dictionary, not a shard manifest",
+            manifest_path.display()
+        )));
+    }
     let manifest = reader.manifest();
     if manifest.kind != DictionaryKind::SameDifferent {
         return Err(SddError::invalid(format!(
@@ -545,6 +554,22 @@ mod tests {
         .unwrap();
         let err = patch_file(&pf, &[column_patch(&old, 0)]).unwrap_err();
         assert!(err.to_string().contains("same-different"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sharded_patch_refuses_a_whole_file() {
+        // The opener reads a whole `.sddb` as a one-shard set; patching it
+        // as a manifest would overwrite the dictionary with a manifest.
+        let (old, new) = dictionaries();
+        let dir = temp_dir("whole-as-set");
+        let path = dir.join("dict.sddb");
+        save(&path, &StoredDictionary::SameDifferent(old)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = patch_sharded(&path, &[column_patch(&new, 1)]).unwrap_err();
+        assert!(matches!(err, SddError::Invalid { .. }), "{err}");
+        assert!(err.to_string().contains("not a shard manifest"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

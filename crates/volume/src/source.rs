@@ -4,9 +4,11 @@
 //! Every serving surface diagnoses through [`diagnose_source`]: the `sdd
 //! volume` CLI, and the serve `DIAG`, `BATCH` and `VOLUME` verbs. They
 //! differ only in the [`ShardSource`] they hand it, that is, in shard
-//! *residency*: a [`WholeSource`] is one resident dictionary, the CLI's
-//! [`PreloadedShards`] loads every shard up front, and the server's
-//! registry source fetches lazily through its LRU registry. Budgets,
+//! *residency*: the CLI's [`PreloadedShards`] loads every shard up front,
+//! the server's registry source fetches lazily through its LRU registry,
+//! and a [`WholeSource`] is one in-memory dictionary. The first two open
+//! any artifact, a whole `.sddb` or text file being a set of one shard
+//! ([`ShardedReader::open_with`]). Budgets,
 //! cone-priority load order, degradation accounting and the merge are
 //! written once, here, so the surfaces answer byte-identically.
 
@@ -16,7 +18,7 @@ use std::time::Instant;
 use sdd_core::diagnose::NoisyDiagnosisReport;
 use sdd_core::Budget;
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
-use sdd_store::{DictionaryKind, MmapMode, ShardedReader, StoredDictionary};
+use sdd_store::{DictionaryKind, MmapMode, ShardManifest, ShardedReader, StoredDictionary};
 
 use crate::corpus::Shape;
 use crate::shard::{diagnose_sharded, misfit, ShardObservation};
@@ -72,7 +74,17 @@ pub trait ShardSource: Sync {
     fn fault_cone(&self, fault: usize) -> Option<&BitVec>;
 }
 
-/// A single unsharded dictionary, optionally with per-fault output cones.
+impl From<&ShardManifest> for Shape {
+    fn from(manifest: &ShardManifest) -> Self {
+        Self {
+            kind: manifest.kind,
+            tests: manifest.tests,
+            outputs: manifest.outputs,
+        }
+    }
+}
+
+/// A single in-memory dictionary, optionally with per-fault output cones.
 #[derive(Debug, Clone)]
 pub struct WholeSource {
     dictionary: Arc<StoredDictionary>,
@@ -83,13 +95,7 @@ pub struct WholeSource {
 impl WholeSource {
     /// Wraps a loaded dictionary.
     pub fn new(dictionary: StoredDictionary) -> Self {
-        Self::from_arc(Arc::new(dictionary))
-    }
-
-    /// Wraps an already-shared dictionary — what the serve registry hands
-    /// out — without cloning the payload.
-    pub fn from_arc(dictionary: Arc<StoredDictionary>) -> Self {
-        let outputs = match dictionary.as_ref() {
+        let outputs = match &dictionary {
             StoredDictionary::PassFail(_) => 0,
             StoredDictionary::SameDifferent(d) => d.sizes().outputs as usize,
             StoredDictionary::Full(d) => d.matrix().output_count(),
@@ -100,7 +106,7 @@ impl WholeSource {
             outputs,
         };
         Self {
-            dictionary,
+            dictionary: Arc::new(dictionary),
             shape,
             cones: None,
         }
@@ -149,29 +155,26 @@ impl ShardSource for WholeSource {
     }
 }
 
-struct PreloadedShard {
-    start: usize,
-    cone: BitVec,
-    dictionary: Result<Arc<StoredDictionary>, SddError>,
-}
-
-/// A sharded set with every shard loaded up front — the `sdd volume` CLI
-/// source. A shard that fails to load is remembered by reason and yields
-/// degraded (`PARTIAL`) device records for the whole run, matching the
-/// degraded-serving contract.
+/// An artifact with every shard loaded up front — the `sdd volume` CLI
+/// source. A shard of a `.sddm` set that fails to load is remembered by
+/// reason and yields degraded (`PARTIAL`) device records for the whole
+/// run, matching the degraded-serving contract.
 pub struct PreloadedShards {
-    shape: Shape,
-    faults: usize,
-    shards: Vec<PreloadedShard>,
+    reader: ShardedReader,
+    shards: Vec<Result<Arc<StoredDictionary>, SddError>>,
 }
 
 impl PreloadedShards {
-    /// Opens a `.sddm` manifest and loads every shard it names.
+    /// Opens the artifact at `path` (a `.sddm` manifest, a whole `.sddb`,
+    /// or a v1 text dictionary; see [`ShardedReader::open_with`]) and
+    /// loads every shard it names.
     ///
     /// # Errors
     ///
-    /// Only manifest-level failures (unreadable or corrupt `.sddm`) are
-    /// fatal; per-shard failures degrade instead.
+    /// Only artifact-level failures are fatal: an unreadable or corrupt
+    /// `.sddm`, or a whole file that does not open or load (it has no
+    /// manifest to degrade against). A failing shard of a `.sddm` set
+    /// degrades instead.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, SddError> {
         Self::open_with(path, MmapMode::Off)
     }
@@ -186,57 +189,44 @@ impl PreloadedShards {
     ///
     /// As [`open`](Self::open).
     pub fn open_with(path: impl AsRef<std::path::Path>, mode: MmapMode) -> Result<Self, SddError> {
-        let reader = ShardedReader::open_with(path, mode)?;
-        let manifest = reader.manifest();
-        let shards = manifest
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, record)| PreloadedShard {
-                start: record.fault_start,
-                cone: record.cone.clone(),
-                dictionary: reader.load_shard(index).map(Arc::new),
+        let mut reader = ShardedReader::open_with(path, mode)?;
+        let mut parsed = reader.take_parsed();
+        let shards = (0..reader.shard_count())
+            .map(|index| {
+                let loaded = parsed.take().map_or_else(|| reader.load_shard(index), Ok);
+                // A whole file is its own manifest: its one shard failing
+                // fails the open, as a corrupt manifest does.
+                match loaded {
+                    Err(e) if reader.is_whole() => Err(e),
+                    loaded => Ok(loaded.map(Arc::new)),
+                }
             })
-            .collect();
-        Ok(Self {
-            shape: Shape {
-                kind: manifest.kind,
-                tests: manifest.tests,
-                outputs: manifest.outputs,
-            },
-            faults: manifest.faults,
-            shards,
-        })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { reader, shards })
     }
 }
 
 impl ShardSource for PreloadedShards {
     fn shape(&self) -> Shape {
-        self.shape
+        self.reader.manifest().into()
     }
     fn fault_count(&self) -> usize {
-        self.faults
+        self.reader.manifest().faults
     }
     fn shard_count(&self) -> usize {
         self.shards.len()
     }
     fn fault_start(&self, shard: usize) -> usize {
-        self.shards[shard].start
+        self.reader.manifest().shards[shard].fault_start
     }
     fn fetch(&self, shard: usize) -> Result<Arc<StoredDictionary>, SddError> {
-        self.shards[shard].dictionary.clone()
+        self.shards[shard].clone()
     }
     fn resident(&self, shard: usize) -> Option<Arc<StoredDictionary>> {
-        self.shards[shard].dictionary.clone().ok()
+        self.shards[shard].clone().ok()
     }
     fn fault_cone(&self, fault: usize) -> Option<&BitVec> {
-        // Shards tile the fault list in ascending order: the owning shard
-        // is the last one starting at or before `fault`.
-        let index = self
-            .shards
-            .partition_point(|shard| shard.start <= fault)
-            .checked_sub(1)?;
-        Some(&self.shards[index].cone)
+        self.reader.fault_cone(fault)
     }
 }
 

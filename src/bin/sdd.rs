@@ -735,24 +735,9 @@ fn cmd_volume(args: &[String]) -> Result<(), String> {
         options.threshold = t.parse().map_err(|_| "bad --threshold")?;
     }
 
-    // Sniffed by magic number, like every other dictionary consumer: a
-    // shard manifest preloads its whole shard set (per-shard failures
-    // degrade device records, only a bad manifest is fatal); anything else
-    // loads as one whole dictionary.
-    let bytes =
-        same_different::store::read_dictionary_bytes(dict_path, mmap).map_err(|e| e.to_string())?;
-    let source: Box<dyn volume::ShardSource> = if same_different::store::is_manifest(&bytes) {
-        Box::new(volume::PreloadedShards::open_with(dict_path, mmap).map_err(|e| e.to_string())?)
-    } else {
-        let dictionary = if same_different::store::is_binary(&bytes) {
-            same_different::store::decode(&bytes)
-        } else {
-            same_different::store::read_same_different_auto(&bytes)
-                .map(same_different::store::StoredDictionary::SameDifferent)
-        }
-        .map_err(|e| e.to_string())?;
-        Box::new(volume::WholeSource::new(dictionary))
-    };
+    // Every shard is preloaded: a failing shard of a manifest degrades
+    // device records; a bad manifest or a bad whole file is fatal.
+    let source = volume::PreloadedShards::open_with(dict_path, mmap).map_err(|e| e.to_string())?;
 
     let corpus = corpus.unwrap_or_else(|| "-".to_owned());
     let reader: Box<dyn BufRead> = if corpus == "-" {
@@ -772,7 +757,7 @@ fn cmd_volume(args: &[String]) -> Result<(), String> {
                 same_different::store::AtomicFile::create(&path).map_err(|e| e.to_string())?;
             let mut writer = std::io::BufWriter::new(staged);
             let summary = volume::run(
-                source.as_ref(),
+                &source,
                 &mut lines,
                 &mut volume::JsonlSink(&mut writer),
                 &options,
@@ -789,7 +774,7 @@ fn cmd_volume(args: &[String]) -> Result<(), String> {
         None => {
             let stdout = std::io::stdout();
             volume::run(
-                source.as_ref(),
+                &source,
                 &mut lines,
                 &mut volume::JsonlSink(&mut stdout.lock()),
                 &options,

@@ -45,9 +45,7 @@ use sdd_core::{refresh_baselines_budgeted, Budget, SameDifferentDictionary};
 use sdd_logic::{BitVec, SddError};
 use sdd_netlist::{Circuit, NetId};
 use sdd_sim::{EcoDelta, Partition, ResponseMatrix};
-use sdd_store::{
-    DictionaryKind, MmapMode, PatchStats, SdColumnPatch, ShardedReader, StoredDictionary,
-};
+use sdd_store::{DictionaryKind, PatchStats, SdColumnPatch, ShardedReader, StoredDictionary};
 
 use crate::Experiment;
 
@@ -100,41 +98,50 @@ pub struct PatchReport {
     pub stats: PatchStats,
 }
 
-/// Reads the same/different dictionary out of a binary artifact — a whole
-/// `.sddb` or a sharded `.sddm` set reassembled in global fault order.
+/// Reads the same/different dictionary out of an artifact: a whole file is
+/// its one shard, and a sharded `.sddm` set is reassembled in global fault
+/// order.
 fn load_artifact(path: &Path) -> Result<SameDifferentDictionary, SddError> {
-    let bytes = sdd_store::read_dictionary_bytes(path, MmapMode::Off)?;
-    if !sdd_store::is_manifest(&bytes) {
-        return sdd_store::read_same_different_auto(&bytes);
-    }
-    let reader = ShardedReader::open(path)?;
+    let mut reader = ShardedReader::open(path)?;
     let manifest = reader.manifest();
     if manifest.kind != DictionaryKind::SameDifferent {
         return Err(SddError::invalid(format!(
-            "expected a same-different dictionary, found a {} manifest",
+            "expected a same-different dictionary, found a {} dictionary",
             manifest.kind.name()
         )));
     }
-    let mut signatures = Vec::with_capacity(manifest.faults);
-    let mut baselines = Vec::new();
-    let mut classes = Vec::new();
+    let outputs = manifest.outputs;
+    let mut parsed = reader.take_parsed();
+    let mut shards = Vec::with_capacity(reader.shard_count());
     for index in 0..reader.shard_count() {
-        let StoredDictionary::SameDifferent(shard) = reader.load_shard(index)? else {
+        let loaded = parsed.take().map_or_else(|| reader.load_shard(index), Ok)?;
+        let StoredDictionary::SameDifferent(shard) = loaded else {
             return Err(SddError::invalid(format!(
                 "shard {index}: kind disagrees with the manifest"
             )));
         };
-        if index == 0 {
-            baselines = (0..shard.test_count())
-                .map(|t| shard.baseline(t).clone())
-                .collect();
-            classes = shard.baseline_classes().to_vec();
-        }
-        for fault in 0..shard.fault_count() {
-            signatures.push(shard.signature(fault).clone());
-        }
+        shards.push(shard);
     }
-    SameDifferentDictionary::from_parts(signatures, baselines, classes, manifest.outputs)
+    // One shard is the dictionary itself: no reassembly copy.
+    let shards = match <[SameDifferentDictionary; 1]>::try_from(shards) {
+        Ok([whole]) => return Ok(whole),
+        Err(shards) => shards,
+    };
+    let first = &shards[0];
+    let baselines = (0..first.test_count())
+        .map(|t| first.baseline(t).clone())
+        .collect();
+    let signatures = shards
+        .iter()
+        .flat_map(|shard| shard.signatures())
+        .cloned()
+        .collect();
+    SameDifferentDictionary::from_parts(
+        signatures,
+        baselines,
+        first.baseline_classes().to_vec(),
+        outputs,
+    )
 }
 
 /// Checks the preconditions that make patching (rather than rebuilding)

@@ -6,11 +6,11 @@
 //! space-separated tokens; replies start with `OK` or `ERR`):
 //!
 //! ```text
-//! LOAD <name> <path>        load a dictionary (.sddb binary, .sddm shard
-//!                           manifest, or v1 text)
+//! LOAD <name> <path>        open a dictionary (.sddb binary, .sddm shard
+//!                           manifest, or v1 text) and register it
 //! RELOAD <name>             re-open the artifact <name> was loaded from
-//!                           (after `sdd patch`); a sharded entry keeps
-//!                           every resident shard the patch left unchanged
+//!                           (after `sdd patch`), keeping every resident
+//!                           shard the patch left unchanged
 //! DIAG <name> <obs>         diagnose one observation against <name>
 //! BATCH <name> <obs>...     diagnose many; replies `OK BATCH <count>`
 //!                           then one result line per observation
@@ -34,23 +34,31 @@
 //! ([`sdd_core::diagnose`]) and reports where it landed
 //! (`exact`, `consistent`, `ranked`) alongside the ranked candidates.
 //!
-//! Loaded dictionaries live in a registry with least-recently-used eviction
-//! under a configurable memory cap, so a box serving many designs keeps its
-//! footprint bounded. `DIAG`, `BATCH` and `VOLUME` resolve a name to a
-//! [`ShardSource`] in one place — a whole dictionary, decoded first when
-//! only its mapped image is resident, or the registry-backed shard set —
-//! and diagnose through the one loop every surface shares,
+//! `LOAD` opens every artifact through one opener,
+//! [`ShardedReader::open_with`]: a `.sddm` manifest is a set of shard
+//! files, and a whole `.sddb` or v1 text file is a set of one shard, the
+//! file itself. Every name is therefore the same kind of registry entry —
+//! a reader and one residency slot per shard — and `DIAG`, `BATCH` and
+//! `VOLUME` diagnose it through the one loop every surface shares,
 //! [`sdd_volume::diagnose_source`].
 //!
-//! Loading a `.sddm` shard manifest registers the shard set without reading
-//! any shard: shards load lazily on the first `DIAG` that needs them, in
-//! cone-priority order (shards whose recorded output cone intersects the
-//! observation's failing outputs first). Every shard is still *scored* on
+//! `LOAD` validates the artifact (a manifest, or a whole `.sddb`'s header
+//! and payload checksum) and reads no shard; a v1 text file carries no
+//! checksum, so `LOAD` validates it by parsing it, and the parse stays
+//! resident. Shards load lazily on the first request that needs them,
+//! under the request deadline, in cone-priority order (shards whose
+//! recorded output cone intersects the observation's failing outputs
+//! first; a whole file records no cone). Every shard is still *scored* on
 //! every query — signatures compare against shard-global baselines, so a
 //! fault outside the failing cone can still be the best candidate, and
-//! skipping it would break the bit-identical merge. A malformed observation
-//! is refused before any shard loads. The LRU registry evicts at shard
-//! granularity, and `STATS` reports per-shard residency.
+//! skipping it would break the bit-identical merge. A malformed
+//! observation is refused before any shard loads.
+//!
+//! The registry keeps its footprint bounded under a configurable memory
+//! cap with least-recently-used eviction at shard granularity: an evicted
+//! shard — a whole dictionary's one shard included — goes cold but stays
+//! registered, and the next request that needs it loads it again from its
+//! file. `STATS` reports per-shard residency for shard sets.
 //!
 //! # Failure domains and the reply contract
 //!
@@ -107,12 +115,10 @@ use std::time::{Duration, Instant};
 use sdd_core::diagnose::NoisyDiagnosisReport;
 use sdd_core::Budget;
 use sdd_logic::{BitVec, MaskedBitVec, SddError};
-use sdd_store::{DictBytes, DictionaryKind, MmapMode, SddbReader, ShardedReader, StoredDictionary};
+use sdd_store::{DictBytes, DictionaryKind, MmapMode, ShardedReader, StoredDictionary};
 use sdd_volume::engine::TOP_CANDIDATES;
 use sdd_volume::shard::ShardObservation;
-use sdd_volume::{
-    diagnose_source, quality_name, Shape, ShardSource, VolumeOptions, WholeSource, WireSink,
-};
+use sdd_volume::{diagnose_source, quality_name, Shape, ShardSource, VolumeOptions, WireSink};
 
 /// How the server is bound and provisioned.
 #[derive(Debug, Clone)]
@@ -135,16 +141,18 @@ pub struct ServeConfig {
     /// clients from holding connection slots.
     pub idle_timeout: Duration,
     /// Optional wall-clock budget per request. It bounds every shard load
-    /// of a sharded `DIAG`, the first one included: a request that runs out
-    /// answers `PARTIAL` from the shards already resident (or `ERR` when
-    /// none is), and remaining `BATCH` items answer `ERR deadline`. `None`
-    /// means unbounded.
+    /// of a `DIAG`, the first one included (a whole dictionary's cold load
+    /// is a shard load): a request that runs out answers `PARTIAL` from the
+    /// shards already resident (or `ERR` when none is), and remaining
+    /// `BATCH` items answer `ERR deadline`. `None` means unbounded.
     pub request_deadline: Option<Duration>,
-    /// How `LOAD` brings dictionary files into memory: mapped zero-copy
+    /// How dictionary files are brought into memory: mapped zero-copy
     /// images ([`MmapMode::Auto`] maps on Linux, reads elsewhere) or owned
-    /// buffers. Mapped binary dictionaries register their validated image
-    /// and defer decoding to the first `DIAG`; mapped shard eviction is an
-    /// `munmap`. Verdict bytes are identical in every mode.
+    /// buffers. `LOAD` validates a binary file through this mode and
+    /// decodes nothing; the first request that needs a shard (a whole
+    /// file's one shard included) loads it the same way, and a mapped
+    /// shard's eviction is an `munmap`. Verdict bytes are identical in
+    /// every mode.
     pub mmap: MmapMode,
 }
 
@@ -163,37 +171,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// One loaded dictionary — whole, or a lazily-populated shard set.
-enum Entry {
-    Whole {
-        /// The decoded form. `None` while only the mapped image is held:
-        /// a mapped `LOAD` validates and checksums the file but defers
-        /// decoding to the first `DIAG`, and eviction of an image-backed
-        /// entry drops only this (the image re-decodes from warm pages).
-        dictionary: Option<Arc<StoredDictionary>>,
-        /// The validated byte image the decode runs from — present only
-        /// when it is a mapping, which costs page cache rather than heap
-        /// and is therefore not counted against the memory cap.
-        image: Option<Arc<DictBytes>>,
-        /// Decoded-resident bytes counted against the cap (zero while the
-        /// entry is image-only).
-        bytes: usize,
-        last_used: u64,
-        /// Microseconds the `LOAD` spent reading, decoding, and inserting —
-        /// surfaced per dictionary in `STATS` so slow loads are visible.
-        load_us: u64,
-    },
-    Sharded {
-        reader: Arc<ShardedReader>,
-        /// One slot per manifest shard; `resident: None` until the first
-        /// `DIAG` that needs the shard loads it (or after eviction).
-        slots: Vec<ShardSlot>,
-        /// Microseconds the `LOAD` spent reading the manifest.
-        load_us: u64,
-    },
+/// One loaded artifact: the reader it was opened through and one residency
+/// slot per shard. A whole `.sddb` or v1 text file opens as a set of one
+/// shard, so every name is the same kind of entry.
+struct Entry {
+    reader: Arc<ShardedReader>,
+    /// One slot per shard; `resident: None` until the first request that
+    /// needs the shard loads it (or after eviction).
+    slots: Vec<ShardSlot>,
+    /// Microseconds the `LOAD` spent opening the artifact — surfaced per
+    /// dictionary in `STATS` so slow loads are visible.
+    load_us: u64,
 }
 
-/// Residency state of one shard. The manifest itself is a few hundred bytes
+impl Entry {
+    /// Decoded-resident bytes across the entry's shards.
+    fn bytes(&self) -> usize {
+        self.slots.iter().map(|s| s.bytes).sum()
+    }
+}
+
+/// Residency state of one shard. The reader itself is a few hundred bytes
 /// and is not counted against the memory cap; only resident decoded shard
 /// payloads are — a shard's mapped image is page cache, tracked separately.
 #[derive(Default)]
@@ -219,21 +217,11 @@ impl ShardSlot {
     }
 }
 
-/// What [`Registry::get`] found under a name.
-enum Fetched {
-    Whole(Arc<StoredDictionary>),
-    /// A mapped dictionary whose decode is deferred (or was evicted): the
-    /// caller decodes from the image outside the registry lock and makes
-    /// the result resident via [`Registry::insert_decoded`].
-    WholeCold(Arc<DictBytes>),
-    Sharded(Arc<ShardedReader>),
-    Missing,
-}
-
-/// The dictionary registry: named dictionaries under a memory cap with
-/// least-recently-used eviction. Whole dictionaries and individual resident
-/// shards are peer eviction units — a cold query against one design evicts
-/// the stalest *shard* elsewhere, not necessarily a whole design.
+/// The dictionary registry: named artifacts under a memory cap with
+/// least-recently-used eviction at shard granularity. A whole dictionary's
+/// one shard and every shard of a set are peer eviction units — a cold
+/// query against one design evicts the stalest *shard* elsewhere, not
+/// necessarily a whole design.
 struct Registry {
     cap: usize,
     inner: Mutex<RegistryInner>,
@@ -252,74 +240,41 @@ struct RegistryInner {
 }
 
 impl RegistryInner {
-    /// Evicts least-recently-used units until the total fits `cap`. The
-    /// unit named by `keep` (a whole dictionary, or one shard of one) is
-    /// never evicted: an entry larger than the cap alone is admitted,
-    /// because refusing it would make the service useless for that design.
+    /// Evicts least-recently-used resident shards until the total fits
+    /// `cap`. The shard named by `keep` is never evicted: an entry larger
+    /// than the cap alone is admitted, because refusing it would make the
+    /// service useless for that design.
     ///
     /// Only decoded-resident bytes count against the cap, so only they are
-    /// evictable: an image-backed whole dictionary keeps its mapping (page
-    /// cache, free to re-decode from) and sheds just the decoded form,
-    /// while an owned whole dictionary is removed outright. A shard drops
-    /// both its decoded form and its mapped image — that drop is the
-    /// `munmap`, and a later fetch maps the file afresh.
-    fn evict_over_cap(&mut self, cap: usize, keep: (&str, Option<usize>)) {
+    /// evictable. An evicted shard drops its decoded form and its mapped
+    /// image together — that drop is the `munmap` — and its entry stays
+    /// registered: the next request that needs the shard loads it from
+    /// disk again. A whole dictionary is evicted the same way.
+    fn evict_over_cap(&mut self, cap: usize, keep: (&str, usize)) {
         while self.bytes > cap {
             let victim = self
                 .entries
                 .iter()
-                .flat_map(|(name, entry)| -> Vec<(u64, String, Option<usize>)> {
-                    match entry {
-                        Entry::Whole {
-                            last_used,
-                            dictionary,
-                            ..
-                        } => dictionary
-                            .is_some()
-                            .then(|| (*last_used, name.clone(), None))
-                            .into_iter()
-                            .collect(),
-                        Entry::Sharded { slots, .. } => slots
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.resident.is_some())
-                            .map(|(i, s)| (s.last_used, name.clone(), Some(i)))
-                            .collect(),
-                    }
+                .flat_map(|(name, entry)| {
+                    entry
+                        .slots
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, slot)| slot.resident.is_some())
+                        .map(move |(index, slot)| (slot.last_used, name, index))
                 })
-                .filter(|(_, name, slot)| (name.as_str(), *slot) != keep)
-                .min();
-            let Some((_, name, slot)) = victim else {
+                .filter(|&(_, name, index)| (name.as_str(), index) != keep)
+                .min()
+                .map(|(_, name, index)| (name.clone(), index));
+            let Some((name, index)) = victim else {
                 break;
             };
-            match slot {
-                None => {
-                    let image_backed = matches!(
-                        self.entries.get(&name),
-                        Some(Entry::Whole { image: Some(_), .. })
-                    );
-                    if image_backed {
-                        if let Some(Entry::Whole {
-                            dictionary, bytes, ..
-                        }) = self.entries.get_mut(&name)
-                        {
-                            *dictionary = None;
-                            self.bytes -= *bytes;
-                            *bytes = 0;
-                        }
-                    } else if let Some(Entry::Whole { bytes, .. }) = self.entries.remove(&name) {
-                        self.bytes -= bytes;
-                    }
-                }
-                Some(index) => {
-                    if let Some(Entry::Sharded { slots, .. }) = self.entries.get_mut(&name) {
-                        let slot = &mut slots[index];
-                        slot.resident = None;
-                        slot.image = None; // the munmap
-                        self.bytes -= slot.bytes;
-                        slot.bytes = 0;
-                    }
-                }
+            if let Some(entry) = self.entries.get_mut(&name) {
+                let slot = &mut entry.slots[index];
+                slot.resident = None;
+                slot.image = None; // the munmap
+                self.bytes -= slot.bytes;
+                slot.bytes = 0;
             }
             self.evictions += 1;
         }
@@ -343,107 +298,69 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Inserts (or replaces) a whole, decoded, owned dictionary, then
-    /// evicts until the total fits the cap.
-    fn insert(&self, name: &str, dictionary: StoredDictionary, load_us: u64) -> usize {
-        let bytes = dictionary.approx_bytes();
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let old = inner.entries.insert(
-            name.to_owned(),
-            Entry::Whole {
-                dictionary: Some(Arc::new(dictionary)),
-                image: None,
-                bytes,
-                last_used: clock,
-                load_us,
-            },
-        );
-        inner.bytes -= old.map_or(0, |e| entry_bytes(&e));
-        inner.bytes += bytes;
-        inner.evict_over_cap(self.cap, (name, None));
-        bytes
-    }
-
-    /// Registers (or replaces) a whole dictionary by its validated mapped
-    /// image alone — no decode, no cap pressure. The first `DIAG` decodes
-    /// through [`Fetched::WholeCold`] + [`insert_decoded`]
-    /// (Self::insert_decoded); until then the dictionary costs page cache
-    /// only. Returns the resident decoded byte count — always zero here.
-    fn insert_image(&self, name: &str, image: DictBytes, load_us: u64) -> usize {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let old = inner.entries.insert(
-            name.to_owned(),
-            Entry::Whole {
-                dictionary: None,
-                image: Some(Arc::new(image)),
-                bytes: 0,
-                last_used: clock,
-                load_us,
-            },
-        );
-        inner.bytes -= old.map_or(0, |e| entry_bytes(&e));
-        0
-    }
-
-    /// Makes the decoded form of an image-backed whole dictionary resident
-    /// (the decode ran in the worker, outside this lock), then evicts
-    /// until the total fits the cap. The decode is cached only while the
-    /// entry still holds `image`, the image it was decoded from: if a
-    /// `LOAD` or `RELOAD` swapped the entry mid-request, the decode serves
-    /// this request uncached and the new image stays cold.
-    fn insert_decoded(
+    /// Registers (or replaces) the artifact `reader` opened under `name`,
+    /// reading no shard. Returns the new entry's resident bytes and how
+    /// many resident shards it kept.
+    ///
+    /// A `LOAD` starts every slot cold, so a shard damaged on disk cannot
+    /// hide behind a warm copy. A `RELOAD` (`reload`) carries over every
+    /// slot whose record is unchanged (same file name, checksum, and fault
+    /// range): after an in-place patch, only the rewritten shards — or the
+    /// rewritten whole file — go cold. A v1 text file carries no checksum,
+    /// so opening it parsed it; that parse becomes its resident shard.
+    fn install(
         &self,
         name: &str,
-        image: &Arc<DictBytes>,
-        dictionary: StoredDictionary,
-    ) -> Arc<StoredDictionary> {
-        let bytes = dictionary.approx_bytes();
-        let dictionary = Arc::new(dictionary);
+        mut reader: ShardedReader,
+        load_us: u64,
+        reload: bool,
+    ) -> (usize, usize) {
+        let parsed = reader.take_parsed();
+        let records = &reader.manifest().shards;
+        let mut slots: Vec<ShardSlot> = records.iter().map(|_| ShardSlot::default()).collect();
+        let mut kept = 0;
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(Entry::Whole {
-            dictionary: resident,
-            bytes: entry_bytes,
-            last_used,
-            image: Some(held),
-            ..
-        }) = inner.entries.get_mut(name)
-        {
-            if !Arc::ptr_eq(held, image) {
-                return dictionary;
+        if let Some(old) = inner.entries.get_mut(name).filter(|_| reload) {
+            let old_records = &old.reader.manifest().shards;
+            for (slot, record) in slots.iter_mut().zip(records) {
+                let unchanged = old_records.iter().position(|old| {
+                    old.file == record.file
+                        && old.payload_checksum == record.payload_checksum
+                        && old.fault_range() == record.fault_range()
+                });
+                if let Some(index) = unchanged {
+                    // Taking the slot keeps its resident bytes counted in
+                    // `inner.bytes`: they move to the new entry unchanged.
+                    *slot = std::mem::take(&mut old.slots[index]);
+                    kept += usize::from(slot.resident.is_some());
+                }
             }
-            let replaced = std::mem::replace(entry_bytes, bytes);
-            *resident = Some(Arc::clone(&dictionary));
-            *last_used = clock;
-            inner.bytes -= replaced;
-            inner.bytes += bytes;
-            inner.evict_over_cap(self.cap, (name, None));
         }
-        dictionary
-    }
-
-    /// Registers (or replaces) a sharded dictionary by its manifest. No
-    /// shard is read here — slots start cold and populate on demand.
-    fn insert_manifest(&self, name: &str, reader: ShardedReader, load_us: u64) -> usize {
-        let slots = (0..reader.shard_count())
-            .map(|_| ShardSlot::default())
-            .collect();
-        let mut inner = self.lock();
-        let old = inner.entries.insert(
-            name.to_owned(),
-            Entry::Sharded {
-                reader: Arc::new(reader),
-                slots,
-                load_us,
-            },
-        );
-        inner.bytes -= old.map_or(0, |e| entry_bytes(&e));
-        0
+        let slot = &mut slots[0];
+        let parsed = parsed.filter(|_| slot.resident.is_none());
+        let grew = parsed.is_some();
+        if let Some(dictionary) = parsed {
+            slot.bytes = dictionary.approx_bytes();
+            slot.resident = Some(Arc::new(dictionary));
+            slot.last_used = clock;
+            slot.loads += 1;
+            inner.bytes += slot.bytes;
+        }
+        let entry = Entry {
+            reader: Arc::new(reader),
+            slots,
+            load_us,
+        };
+        let bytes = entry.bytes();
+        if let Some(old) = inner.entries.insert(name.to_owned(), entry) {
+            inner.bytes -= old.bytes();
+        }
+        if grew {
+            inner.evict_over_cap(self.cap, (name, 0));
+        }
+        (bytes, kept)
     }
 
     /// Records the artifact path `name` was loaded from, for `RELOAD`.
@@ -456,81 +373,9 @@ impl Registry {
         self.lock().paths.get(name).cloned()
     }
 
-    /// Replaces a sharded entry with a re-opened manifest, carrying over
-    /// every resident slot whose manifest record is unchanged (same file
-    /// name, checksum, and fault range) — after an in-place patch, only
-    /// the rewritten shards go cold. Returns how many resident shards
-    /// survived the swap.
-    fn reload_manifest(&self, name: &str, reader: ShardedReader, load_us: u64) -> usize {
-        let new_records = reader.manifest().shards.clone();
-        let mut slots: Vec<ShardSlot> = new_records.iter().map(|_| ShardSlot::default()).collect();
-        let mut kept = 0;
-        let mut inner = self.lock();
-        if let Some(Entry::Sharded {
-            reader: old_reader,
-            slots: old_slots,
-            ..
-        }) = inner.entries.get_mut(name)
-        {
-            let old_records = &old_reader.manifest().shards;
-            for (index, record) in new_records.iter().enumerate() {
-                let unchanged = old_records.iter().position(|old| {
-                    old.file == record.file
-                        && old.payload_checksum == record.payload_checksum
-                        && old.fault_start == record.fault_start
-                        && old.fault_count == record.fault_count
-                });
-                if let Some(old_index) = unchanged {
-                    // Taking the slot keeps its resident bytes counted in
-                    // `inner.bytes`: they move to the new entry unchanged.
-                    let slot = std::mem::take(&mut old_slots[old_index]);
-                    if slot.resident.is_some() {
-                        kept += 1;
-                    }
-                    slots[index] = slot;
-                }
-            }
-        }
-        let old = inner.entries.insert(
-            name.to_owned(),
-            Entry::Sharded {
-                reader: Arc::new(reader),
-                slots,
-                load_us,
-            },
-        );
-        inner.bytes -= old.map_or(0, |e| entry_bytes(&e));
-        kept
-    }
-
-    /// Fetches whatever is registered under `name`, marking a whole
-    /// dictionary most-recently-used (shards are touched individually). An
-    /// image-backed entry whose decoded form is absent comes back as
-    /// [`Fetched::WholeCold`] for the caller to decode outside the lock.
-    fn get(&self, name: &str) -> Fetched {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.entries.get_mut(name) {
-            Some(Entry::Whole {
-                dictionary,
-                image,
-                last_used,
-                ..
-            }) => {
-                *last_used = clock;
-                match (dictionary, &image) {
-                    (Some(dictionary), _) => Fetched::Whole(Arc::clone(dictionary)),
-                    (None, Some(image)) => Fetched::WholeCold(Arc::clone(image)),
-                    // Unreachable by construction (an entry always holds a
-                    // decoded form, an image, or both), but a typed miss
-                    // beats a panic inside the registry lock.
-                    (None, None) => Fetched::Missing,
-                }
-            }
-            Some(Entry::Sharded { reader, .. }) => Fetched::Sharded(Arc::clone(reader)),
-            None => Fetched::Missing,
-        }
+    /// The reader registered under `name`, if any.
+    fn reader(&self, name: &str) -> Option<Arc<ShardedReader>> {
+        self.lock().entries.get(name).map(|e| Arc::clone(&e.reader))
     }
 
     /// Fetches one resident shard of the shard set `reader` opened and
@@ -546,19 +391,14 @@ impl Registry {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.entries.get_mut(name) {
-            Some(Entry::Sharded {
-                reader: held,
-                slots,
-                ..
-            }) if Arc::ptr_eq(held, reader) => {
-                let slot = slots.get_mut(index)?;
-                let dictionary = slot.resident.as_ref().map(Arc::clone)?;
-                slot.last_used = clock;
-                Some(dictionary)
-            }
-            _ => None,
-        }
+        let entry = inner
+            .entries
+            .get_mut(name)
+            .filter(|e| Arc::ptr_eq(&e.reader, reader))?;
+        let slot = entry.slots.get_mut(index)?;
+        let dictionary = slot.resident.as_ref().map(Arc::clone)?;
+        slot.last_used = clock;
+        Some(dictionary)
     }
 
     /// Makes a freshly-loaded shard resident (shard file I/O happens in the
@@ -584,18 +424,12 @@ impl Registry {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let Some(Entry::Sharded {
-            reader: held,
-            slots,
-            ..
-        }) = inner.entries.get_mut(name)
+        let Some(slot) = inner
+            .entries
+            .get_mut(name)
+            .filter(|e| Arc::ptr_eq(&e.reader, reader))
+            .and_then(|e| e.slots.get_mut(index))
         else {
-            return dictionary;
-        };
-        if !Arc::ptr_eq(held, reader) {
-            return dictionary;
-        }
-        let Some(slot) = slots.get_mut(index) else {
             return dictionary;
         };
         let replaced = std::mem::replace(&mut slot.bytes, bytes);
@@ -605,7 +439,7 @@ impl Registry {
         slot.loads += 1;
         inner.bytes -= replaced;
         inner.bytes += bytes;
-        inner.evict_over_cap(self.cap, (name, Some(index)));
+        inner.evict_over_cap(self.cap, (name, index));
         dictionary
     }
 
@@ -614,35 +448,22 @@ impl Registry {
         let mut entries: Vec<StatsEntry> = inner
             .entries
             .iter()
-            .map(|(name, e)| match e {
-                Entry::Whole {
-                    bytes,
-                    load_us,
-                    image,
-                    ..
-                } => StatsEntry {
-                    name: name.clone(),
-                    bytes: *bytes,
-                    load_us: *load_us,
-                    mode: if image.is_some() { "mapped" } else { "owned" },
-                    mapped: image.as_ref().map_or(0, |i| i.len()),
-                    shards: Vec::new(),
+            .map(|(name, entry)| StatsEntry {
+                name: name.clone(),
+                bytes: entry.bytes(),
+                load_us: entry.load_us,
+                mode: if entry.reader.mode().wants_map() {
+                    "mapped"
+                } else {
+                    "owned"
                 },
-                Entry::Sharded {
-                    slots,
-                    load_us,
-                    reader,
-                } => StatsEntry {
-                    name: name.clone(),
-                    bytes: slots.iter().map(|s| s.bytes).sum(),
-                    load_us: *load_us,
-                    mode: if reader.mode().wants_map() {
-                        "mapped"
-                    } else {
-                        "owned"
-                    },
-                    mapped: slots.iter().map(ShardSlot::mapped_bytes).sum(),
-                    shards: slots
+                mapped: entry.slots.iter().map(ShardSlot::mapped_bytes).sum(),
+                // A whole file's one shard is reported by its entry alone.
+                shards: if entry.reader.is_whole() {
+                    Vec::new()
+                } else {
+                    entry
+                        .slots
                         .iter()
                         .map(|s| ShardStat {
                             status: match (&s.resident, s.loads) {
@@ -652,7 +473,7 @@ impl Registry {
                             },
                             bytes: s.bytes,
                         })
-                        .collect(),
+                        .collect()
                 },
             })
             .collect();
@@ -672,13 +493,6 @@ impl Registry {
             total_shards,
             entries,
         }
-    }
-}
-
-fn entry_bytes(entry: &Entry) -> usize {
-    match entry {
-        Entry::Whole { bytes, .. } => *bytes,
-        Entry::Sharded { slots, .. } => slots.iter().map(|s| s.bytes).sum(),
     }
 }
 
@@ -1029,84 +843,52 @@ pub(crate) fn err_reply(message: &str) -> String {
     format!("ERR {}", message.replace('\n', " "))
 }
 
-/// Reads the artifact at `path` once, in the server's mmap mode, and
-/// registers it under `name`. With `reload` set this is `RELOAD`: a
-/// sharded entry keeps every resident shard whose manifest record is
-/// byte-for-byte unchanged (only patched shards go cold), and a whole
-/// dictionary is replaced outright (`kept=0`).
+/// Opens the artifact at `path` in the server's mmap mode and registers it
+/// under `name`, reading no shard (a v1 text file, which carries no
+/// checksum, is parsed). With `reload` set this is `RELOAD`: every resident shard
+/// whose record is unchanged stays resident — the one shard of an
+/// unchanged whole file included — and only rewritten shards go cold.
 fn load_reply(name: &str, path: &str, shared: &Arc<Shared>, reload: bool) -> String {
     let start = Instant::now();
-    let elapsed_us = || u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    // `read_dictionary_bytes` validates the header-declared payload length
-    // against the actual file length *before* buffering or mapping, so a
-    // corrupt header claiming a huge payload cannot make the server
-    // allocate it, and a truncated file can never SIGBUS a mapped read.
-    let bytes = match sdd_store::read_dictionary_bytes(path, shared.mmap) {
-        Ok(bytes) => bytes,
+    // The opener validates a binary header's declared payload length
+    // against the file length *before* buffering or mapping, so a corrupt
+    // header claiming a huge payload cannot make the server allocate it,
+    // and a truncated file can never SIGBUS a mapped read.
+    let reader = match ShardedReader::open_with(path, shared.mmap) {
+        Ok(reader) => reader,
         Err(e) => return err_reply(&e.to_string()),
     };
-    let reply = if sdd_store::is_manifest(&bytes) {
-        // A shard manifest registers the set without touching any shard
-        // file — shards load lazily on the first DIAG that needs them,
-        // inheriting the server's byte-ownership mode.
-        let reader = match ShardedReader::open_with(path, shared.mmap) {
-            Ok(reader) => reader,
-            Err(e) => return err_reply(&e.to_string()),
-        };
-        let m = reader.manifest();
-        let (kind, faults, tests, shards) =
-            (m.kind.name(), m.faults, m.tests, reader.shard_count());
-        let load_us = elapsed_us();
-        if reload {
-            let kept = shared.registry.reload_manifest(name, reader, load_us);
-            return format!(
-                "OK RELOADED {name} kind={kind} faults={faults} tests={tests} shards={shards} kept={kept} load_us={load_us}"
-            );
-        }
-        let resident = shared.registry.insert_manifest(name, reader, load_us);
-        format!(
-            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} shards={shards}"
-        )
-    } else if bytes.is_mapped() && sdd_store::is_binary(&bytes) {
-        // Mapped load: checksum the image now (faulting every page, so
-        // corruption surfaces at LOAD exactly as in owned mode) but defer
-        // the decode to the first DIAG. The registry keeps the mapping;
-        // resident decoded bytes are 0 until a request warms the entry.
-        let (kind, faults, tests) = match SddbReader::open(&bytes) {
-            Ok(reader) => (reader.kind().name(), reader.faults(), reader.tests()),
-            Err(e) => return err_reply(&e.to_string()),
-        };
-        let mapped = bytes.len();
-        let load_us = elapsed_us();
-        let resident = shared.registry.insert_image(name, bytes, load_us);
-        format!(
-            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us} mode=mapped mapped={mapped}"
-        )
-    } else {
-        let decoded = if sdd_store::is_binary(&bytes) {
-            sdd_store::decode(&bytes)
-        } else {
-            sdd_store::read_same_different_auto(&bytes).map(StoredDictionary::SameDifferent)
-        };
-        let d = match decoded {
-            Ok(d) => d,
-            Err(e) => return err_reply(&e.to_string()),
-        };
-        let kind = d.kind().name();
-        let (faults, tests) = (d.fault_count(), d.test_count());
-        let load_us = elapsed_us();
-        let resident = shared.registry.insert(name, d, load_us);
-        format!(
-            "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={resident} load_us={load_us}"
-        )
-    };
+    let m = reader.manifest();
+    let (kind, faults, tests, shards) = (m.kind.name(), m.faults, m.tests, reader.shard_count());
+    let whole = reader.is_whole();
+    // A whole binary file was validated through a mapping of this length.
+    let mapped = (whole && reader.mode().wants_map())
+        .then(|| sdd_store::HEADER_LEN + m.shards[0].payload_len);
+    let load_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let (bytes, kept) = shared.registry.install(name, reader, load_us, reload);
     shared.registry.record_path(name, path);
-    // A whole file replaces its entry outright: the artifact was rewritten
-    // atomically as one image, so there is no sibling to keep.
-    match reply.strip_prefix("OK LOADED") {
-        Some(rest) if reload => format!("OK RELOADED{rest} kept=0"),
-        _ => reply,
+    if !whole {
+        return if reload {
+            format!(
+                "OK RELOADED {name} kind={kind} faults={faults} tests={tests} shards={shards} kept={kept} load_us={load_us}"
+            )
+        } else {
+            format!(
+                "OK LOADED {name} kind={kind} faults={faults} tests={tests} bytes={bytes} load_us={load_us} shards={shards}"
+            )
+        };
     }
+    let verb = if reload { "RELOADED" } else { "LOADED" };
+    let mut reply = format!(
+        "OK {verb} {name} kind={kind} faults={faults} tests={tests} bytes={bytes} load_us={load_us}"
+    );
+    if let Some(mapped) = mapped {
+        reply.push_str(&format!(" mode=mapped mapped={mapped}"));
+    }
+    if reload {
+        reply.push_str(&format!(" kept={kept}"));
+    }
+    reply
 }
 
 fn diag_reply(
@@ -1120,33 +902,18 @@ fn diag_reply(
         return err_reply(&format!("no dictionary loaded as {name:?}"));
     };
     shared.diagnoses.fetch_add(1, Ordering::Relaxed);
-    source
-        .and_then(|source| diag_line(source.as_ref(), obs, shared, scratch, clock))
-        .unwrap_or_else(|e| err_reply(&e.to_string()))
+    diag_line(&source, obs, shared, scratch, clock).unwrap_or_else(|e| err_reply(&e.to_string()))
 }
 
 /// The dictionary registered under `name`, as the [`ShardSource`] every
-/// diagnosis verb runs on: a whole dictionary becomes a [`WholeSource`]
-/// (decoded first when only its mapped image is resident), a shard set the
-/// registry-backed [`RegistrySource`]. `None` when nothing is registered.
-fn resolve<'a>(
-    name: &'a str,
-    shared: &'a Arc<Shared>,
-) -> Option<Result<Box<dyn ShardSource + 'a>, SddError>> {
-    let source: Box<dyn ShardSource + 'a> = match shared.registry.get(name) {
-        Fetched::Whole(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-        Fetched::WholeCold(image) => match fetch_whole(name, &image, shared) {
-            Ok(dictionary) => Box::new(WholeSource::from_arc(dictionary)),
-            Err(e) => return Some(Err(e)),
-        },
-        Fetched::Sharded(reader) => Box::new(RegistrySource {
-            name,
-            reader,
-            shared,
-        }),
-        Fetched::Missing => return None,
-    };
-    Some(Ok(source))
+/// diagnosis verb runs on; `None` when nothing is registered.
+fn resolve<'a>(name: &'a str, shared: &'a Arc<Shared>) -> Option<RegistrySource<'a>> {
+    let reader = shared.registry.reader(name)?;
+    Some(RegistrySource {
+        name,
+        reader,
+        shared,
+    })
 }
 
 /// Diagnoses one observation through [`diagnose_source`], under the
@@ -1212,25 +979,11 @@ fn fetch_shard(
         .insert_shard(name, reader, index, dictionary, image))
 }
 
-/// Decodes a cold image-backed whole dictionary and makes the decoded form
-/// resident — the warm-up path behind [`Fetched::WholeCold`]. The image
-/// was checksummed at `LOAD`; `revalidate` re-checks the mapped file's
-/// length first so an in-place truncation since then surfaces as a typed
-/// [`SddError::Truncated`], never a fault on a vanished page.
-fn fetch_whole(
-    name: &str,
-    image: &Arc<DictBytes>,
-    shared: &Arc<Shared>,
-) -> Result<Arc<StoredDictionary>, SddError> {
-    image.revalidate()?;
-    let dictionary = sdd_store::decode(image.as_slice())?;
-    Ok(shared.registry.insert_decoded(name, image, dictionary))
-}
-
 /// The serve-side [`ShardSource`]: shards fetch lazily through the LRU
 /// registry, so a warm shard costs a registry hit and a cold one loads
 /// (and may evict elsewhere) — exactly the `DIAG` economics, applied per
-/// device. Cones come from the manifest's per-shard records.
+/// device. Cones come from the manifest's per-shard records; a whole file
+/// records none.
 struct RegistrySource<'a> {
     name: &'a str,
     reader: Arc<ShardedReader>,
@@ -1239,12 +992,7 @@ struct RegistrySource<'a> {
 
 impl ShardSource for RegistrySource<'_> {
     fn shape(&self) -> Shape {
-        let manifest = self.reader.manifest();
-        Shape {
-            kind: manifest.kind,
-            tests: manifest.tests,
-            outputs: manifest.outputs,
-        }
+        self.reader.manifest().into()
     }
     fn fault_count(&self) -> usize {
         self.reader.manifest().faults
@@ -1264,13 +1012,7 @@ impl ShardSource for RegistrySource<'_> {
             .resident_shard(self.name, &self.reader, shard)
     }
     fn fault_cone(&self, fault: usize) -> Option<&BitVec> {
-        let shards = &self.reader.manifest().shards;
-        // Shards tile the fault list in ascending order: the owning shard
-        // is the last one starting at or before `fault`.
-        let index = shards
-            .partition_point(|s| s.fault_start <= fault)
-            .checked_sub(1)?;
-        Some(&shards[index].cone)
+        self.reader.fault_cone(fault)
     }
 }
 
@@ -1326,15 +1068,11 @@ pub(crate) fn execute_volume(
             return push_line(out, &err_reply(&format!("bad option {token:?}")));
         }
     }
-    let source = match resolve(name, shared) {
-        Some(Ok(source)) => source,
-        Some(Err(e)) => return push_line(out, &err_reply(&e.to_string())),
-        None => {
-            return push_line(
-                out,
-                &err_reply(&format!("no dictionary loaded as {name:?}")),
-            );
-        }
+    let Some(source) = resolve(name, shared) else {
+        return push_line(
+            out,
+            &err_reply(&format!("no dictionary loaded as {name:?}")),
+        );
     };
     push_line(out, &format!("OK VOLUME {count}"));
     let mut lines = corpus
@@ -1342,12 +1080,7 @@ pub(crate) fn execute_volume(
         .map(|line| -> io::Result<String> { Ok(line) });
     // The engine's only I/O is the in-memory corpus and sink, so `run`
     // cannot fail here; the `ERR` arm keeps the contract visible anyway.
-    match sdd_volume::run(
-        source.as_ref(),
-        &mut lines,
-        &mut WireSink(&mut *out),
-        &options,
-    ) {
+    match sdd_volume::run(&source, &mut lines, &mut WireSink(&mut *out), &options) {
         Ok(summary) => {
             shared
                 .diagnoses
@@ -1497,7 +1230,7 @@ mod tests {
     use super::*;
     use sdd_core::PassFailDictionary;
     use std::ops::Range;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     fn pf() -> StoredDictionary {
         StoredDictionary::PassFail(PassFailDictionary::build(
@@ -1505,20 +1238,61 @@ mod tests {
         ))
     }
 
-    fn is_whole(fetched: &Fetched) -> bool {
-        matches!(fetched, Fetched::Whole(_))
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sdd-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Saves the paper example as the whole file `dir/<stem>.sddb`, opened.
+    fn whole(dir: &Path, stem: &str) -> ShardedReader {
+        let path = dir.join(format!("{stem}.sddb"));
+        sdd_store::save(&path, &pf()).unwrap();
+        ShardedReader::open(&path).unwrap()
+    }
+
+    /// Writes the paper example as the shard set `dir/<stem>.sddm`, opened.
+    fn shard_set(dir: &Path, stem: &str, ranges: &[Range<usize>]) -> ShardedReader {
+        let path = dir.join(format!("{stem}.sddm"));
+        sdd_store::write_sharded(&path, &pf(), ranges, None).unwrap();
+        ShardedReader::open(&path).unwrap()
+    }
+
+    /// The reader registered under `name`, fetched as a request does.
+    fn reader(registry: &Registry, name: &str) -> Arc<ShardedReader> {
+        registry.reader(name).expect("registered")
+    }
+
+    /// Loads shard `index` of `name` through the reader the entry holds and
+    /// makes it resident, as a request's cold fetch does.
+    fn warm(registry: &Registry, name: &str, index: usize) {
+        let reader = reader(registry, name);
+        let (image, dictionary) = reader.load_shard_with_image(index).unwrap();
+        registry.insert_shard(name, &reader, index, dictionary, image);
+    }
+
+    fn is_resident(registry: &Registry, name: &str) -> bool {
+        registry
+            .resident_shard(name, &reader(registry, name), 0)
+            .is_some()
     }
 
     #[test]
     fn registry_evicts_least_recently_used_under_cap() {
+        let dir = scratch("lru");
         let one = pf().approx_bytes();
         let registry = Registry::new(2 * one);
-        registry.insert("a", pf(), 11);
-        registry.insert("b", pf(), 22);
-        assert!(is_whole(&registry.get("a")), "a is now most recently used");
-        registry.insert("c", pf(), 33); // over cap: evicts b, the LRU entry
+        for (name, load_us) in [("a", 11), ("b", 22)] {
+            registry.install(name, whole(&dir, name), load_us, false);
+            warm(&registry, name, 0);
+        }
+        assert!(is_resident(&registry, "a"), "a is now most recently used");
+        registry.install("c", whole(&dir, "c"), 33, false);
+        warm(&registry, "c", 0); // over cap: evicts b, the LRU entry
         let stats = registry.stats();
-        assert_eq!((stats.dicts, stats.evictions), (2, 1));
+        assert_eq!((stats.dicts, stats.evictions), (3, 1));
         assert!(stats.bytes <= 2 * one);
         let summary: Vec<(&str, usize, u64)> = stats
             .entries
@@ -1527,53 +1301,72 @@ mod tests {
             .collect();
         assert_eq!(
             summary,
-            vec![("a", one, 11), ("c", one, 33)],
+            vec![("a", one, 11), ("b", 0, 22), ("c", one, 33)],
             "per-dictionary stats are sorted by name and keep load times"
         );
         assert!(
-            matches!(registry.get("b"), Fetched::Missing),
-            "b was evicted"
+            !is_resident(&registry, "b"),
+            "b was evicted, and stays registered cold"
         );
-        assert!(is_whole(&registry.get("a")) && is_whole(&registry.get("c")));
+        assert!(is_resident(&registry, "a") && is_resident(&registry, "c"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn registry_admits_an_oversized_dictionary_alone() {
+        let dir = scratch("oversized");
         let registry = Registry::new(1); // cap smaller than any dictionary
-        registry.insert("big", pf(), 0);
+        registry.install("big", whole(&dir, "big"), 0, false);
+        warm(&registry, "big", 0);
         let stats = registry.stats();
         assert_eq!(
-            (stats.dicts, stats.evictions),
-            (1, 0),
-            "sole entry is never evicted"
+            (stats.bytes, stats.evictions),
+            (pf().approx_bytes(), 0),
+            "sole resident dictionary is never evicted"
         );
-        registry.insert("bigger", pf(), 0);
+        registry.install("bigger", whole(&dir, "bigger"), 0, false);
+        warm(&registry, "bigger", 0);
         let stats = registry.stats();
         assert_eq!(
-            (stats.dicts, stats.evictions),
-            (1, 1),
-            "previous entry made room"
+            (stats.bytes, stats.evictions),
+            (pf().approx_bytes(), 1),
+            "previous dictionary made room"
         );
+        assert!(!is_resident(&registry, "big") && is_resident(&registry, "bigger"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn replacing_a_dictionary_does_not_leak_accounting() {
+        let dir = scratch("replace");
         let one = pf().approx_bytes();
         let registry = Registry::new(10 * one);
-        registry.insert("a", pf(), 5);
-        registry.insert("a", pf(), 7);
+        registry.install("a", whole(&dir, "a"), 5, false);
+        warm(&registry, "a", 0);
+        registry.install("a", whole(&dir, "a"), 7, false);
+        warm(&registry, "a", 0);
         let stats = registry.stats();
         assert_eq!((stats.dicts, stats.bytes, stats.evictions), (1, one, 0));
         assert_eq!(
             stats.entries[0].load_us, 7,
             "reload refreshes the load time"
         );
+        // A RELOAD of the unchanged file keeps the resident shard, and its
+        // bytes, exactly once.
+        assert_eq!(registry.install("a", whole(&dir, "a"), 9, true), (one, 1));
+        assert!(is_resident(&registry, "a"));
+        assert_eq!(registry.stats().bytes, one);
+        // A LOAD starts cold.
+        assert_eq!(registry.install("a", whole(&dir, "a"), 9, false), (0, 0));
+        assert_eq!(registry.stats().bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn poisoned_registry_lock_recovers() {
+        let dir = scratch("poison");
         let registry = Arc::new(Registry::new(64 << 20));
-        registry.insert("a", pf(), 1);
+        registry.install("a", whole(&dir, "a"), 1, false);
         let poisoner = Arc::clone(&registry);
         // Panic while holding the registry lock, the way a crashing worker
         // mid-insert would.
@@ -1585,112 +1378,94 @@ mod tests {
         assert!(result.is_err(), "the poisoning thread panicked");
         assert!(registry.inner.is_poisoned(), "the mutex really is poisoned");
         // Every entry point must keep working.
-        assert!(is_whole(&registry.get("a")));
-        registry.insert("b", pf(), 2);
+        warm(&registry, "a", 0);
+        assert!(is_resident(&registry, "a"));
+        registry.install("b", whole(&dir, "b"), 2, false);
         let stats = registry.stats();
         assert_eq!(stats.dicts, 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn shard_slots_evict_at_shard_granularity() {
-        let dir = std::env::temp_dir().join(format!("sdd-serve-shard-lru-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest_path = dir.join("paper.sddm");
-        sdd_store::write_sharded(&manifest_path, &pf(), &[0..2, 2..4], None).unwrap();
-        let reader = Arc::new(ShardedReader::open(&manifest_path).unwrap());
-        let b0 = reader.load_shard(0).unwrap().approx_bytes();
-        let b1 = reader.load_shard(1).unwrap().approx_bytes();
+        let dir = scratch("shard-lru");
+        let probe = shard_set(&dir, "paper", &[0..2, 2..4]);
+        let b0 = probe.load_shard(0).unwrap().approx_bytes();
+        let b1 = probe.load_shard(1).unwrap().approx_bytes();
 
         // Cap fits one shard but not both.
         let registry = Registry::new(b0.max(b1));
-        registry.insert_manifest("paper", ShardedReader::open(&manifest_path).unwrap(), 9);
-        // Shards load through the reader the entry holds, as a request's do.
-        let reader = fetch_sharded(&registry, "paper");
+        registry.install("paper", probe, 9, false);
         let stats = registry.stats();
         assert_eq!((stats.resident_shards, stats.total_shards), (0, 2));
         assert_eq!(stats.bytes, 0, "a cold manifest costs nothing");
         assert_eq!(stats.entries[0].shards[0].status, "cold");
 
-        let d0 = reader.load_shard(0).unwrap();
-        registry.insert_shard("paper", &reader, 0, d0, DictBytes::Owned(Vec::new()));
+        warm(&registry, "paper", 0);
         let stats = registry.stats();
         assert_eq!((stats.resident_shards, stats.evictions), (1, 0));
 
         // Loading the second shard evicts the first — shard granularity,
         // not the whole entry.
-        let d1 = reader.load_shard(1).unwrap();
-        registry.insert_shard("paper", &reader, 1, d1, DictBytes::Owned(Vec::new()));
+        warm(&registry, "paper", 1);
         let stats = registry.stats();
         assert_eq!((stats.resident_shards, stats.total_shards), (1, 2));
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries[0].shards[0].status, "evicted");
         assert_eq!(stats.entries[0].shards[1].status, "resident");
+        let reader = reader(&registry, "paper");
         assert!(registry.resident_shard("paper", &reader, 0).is_none());
         assert!(registry.resident_shard("paper", &reader, 1).is_some());
         assert!(
-            matches!(registry.get("paper"), Fetched::Sharded(_)),
+            !reader.is_whole(),
             "the entry itself survives shard eviction"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Writes the paper example as the shard set `dir/<stem>.sddm`, opened.
-    fn shard_set(dir: &Path, stem: &str, ranges: &[Range<usize>]) -> ShardedReader {
-        std::fs::create_dir_all(dir).unwrap();
-        let path = dir.join(format!("{stem}.sddm"));
-        sdd_store::write_sharded(&path, &pf(), ranges, None).unwrap();
-        ShardedReader::open(&path).unwrap()
-    }
-
-    /// The shard set registered under `name`, fetched as a request does.
-    fn fetch_sharded(registry: &Registry, name: &str) -> Arc<ShardedReader> {
-        match registry.get(name) {
-            Fetched::Sharded(reader) => reader,
-            _ => panic!("{name} is not a sharded entry"),
-        }
-    }
-
     #[test]
     fn a_decode_racing_a_reload_is_not_cached_under_the_new_image() {
+        let dir = scratch("decode-race");
         let registry = Registry::new(64 << 20);
-        let image = || DictBytes::Owned(sdd_store::encode(&pf()).unwrap());
-        registry.insert_image("a", image(), 1);
-        let Fetched::WholeCold(old) = registry.get("a") else {
-            panic!("an image-backed entry starts cold");
-        };
-        // A RELOAD swaps in a new image while a DIAG decodes the old one.
-        registry.insert_image("a", image(), 2);
-        let served = registry.insert_decoded("a", &old, pf());
+        registry.install("a", whole(&dir, "a"), 1, false);
+        let old = reader(&registry, "a");
+        assert!(!is_resident(&registry, "a"), "a whole LOAD starts cold");
+        let (image, d0) = old.load_shard_with_image(0).unwrap();
+        // A RELOAD swaps in a new reader while a DIAG decodes the old one.
+        registry.install("a", whole(&dir, "a"), 2, true);
+        let served = registry.insert_shard("a", &old, 0, d0, image);
         assert_eq!(served.fault_count(), pf().fault_count(), "still served");
-        let Fetched::WholeCold(new) = registry.get("a") else {
-            panic!("the reloaded image must stay cold, not adopt the old decode");
-        };
+        let new = reader(&registry, "a");
         assert!(!Arc::ptr_eq(&new, &old));
+        assert!(
+            !is_resident(&registry, "a"),
+            "the reloaded entry must stay cold, not adopt the old decode"
+        );
         assert_eq!(registry.stats().bytes, 0);
-        // A decode of the image the entry holds is cached as before.
-        registry.insert_decoded("a", &new, pf());
-        assert!(is_whole(&registry.get("a")));
+        // A decode through the reader the entry holds is cached as before.
+        warm(&registry, "a", 0);
+        assert!(is_resident(&registry, "a"));
         assert_eq!(registry.stats().bytes, pf().approx_bytes());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_shard_loaded_through_a_reloaded_manifest_is_not_cached() {
-        let dir = std::env::temp_dir().join(format!("sdd-serve-reload-{}", std::process::id()));
+        let dir = scratch("reload");
         let registry = Registry::new(64 << 20);
-        registry.insert_manifest("paper", shard_set(&dir, "old", &[0..2, 2..4]), 0);
-        let old = fetch_sharded(&registry, "paper");
+        registry.install("paper", shard_set(&dir, "old", &[0..2, 2..4]), 0, false);
+        let old = reader(&registry, "paper");
         let (image, d0) = old.load_shard_with_image(0).unwrap();
         // A RELOAD lands while the request loads the old shard 0 (faults
         // 0..2); the new manifest's slot 0 covers faults 0..1 only.
-        registry.reload_manifest("paper", shard_set(&dir, "new", &[0..1, 1..4]), 0);
+        registry.install("paper", shard_set(&dir, "new", &[0..1, 1..4]), 0, true);
         let served = registry.insert_shard("paper", &old, 0, d0, image);
         assert_eq!(served.fault_count(), 2, "the request keeps its own shard");
         let stats = registry.stats();
         assert_eq!((stats.resident_shards, stats.bytes), (0, 0), "cold");
         // Once the new slot 0 is warm, the old reader still cannot see it.
-        let new = fetch_sharded(&registry, "paper");
-        let (image, d0) = new.load_shard_with_image(0).unwrap();
-        registry.insert_shard("paper", &new, 0, d0, image);
+        warm(&registry, "paper", 0);
+        let new = reader(&registry, "paper");
         let warm = registry.resident_shard("paper", &new, 0);
         assert_eq!(warm.map(|d| d.fault_count()), Some(1));
         assert!(registry.resident_shard("paper", &old, 0).is_none());
@@ -1699,17 +1474,21 @@ mod tests {
 
     #[test]
     fn a_shard_racing_a_whole_load_does_not_resurrect_the_shard_set() {
-        let dir = std::env::temp_dir().join(format!("sdd-serve-replace-{}", std::process::id()));
+        let dir = scratch("whole-race");
         let registry = Registry::new(64 << 20);
-        registry.insert_manifest("paper", shard_set(&dir, "paper", &[0..2, 2..4]), 0);
-        let reader = fetch_sharded(&registry, "paper");
-        let (image, d0) = reader.load_shard_with_image(0).unwrap();
+        registry.install("paper", shard_set(&dir, "paper", &[0..2, 2..4]), 0, false);
+        let sharded = reader(&registry, "paper");
+        let (image, d0) = sharded.load_shard_with_image(0).unwrap();
         // A whole-file LOAD replaces the name while the shard loads.
-        let whole = registry.insert("paper", pf(), 0);
-        registry.insert_shard("paper", &reader, 0, d0, image);
-        assert!(is_whole(&registry.get("paper")), "the whole LOAD stands");
+        registry.install("paper", whole(&dir, "flat"), 0, false);
+        registry.insert_shard("paper", &sharded, 0, d0, image);
+        assert!(
+            reader(&registry, "paper").is_whole(),
+            "the whole LOAD stands"
+        );
+        assert!(!is_resident(&registry, "paper"), "and stays cold");
         let stats = registry.stats();
-        assert_eq!((stats.dicts, stats.bytes), (1, whole));
+        assert_eq!((stats.dicts, stats.bytes), (1, 0));
         assert_eq!(stats.total_shards, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1723,34 +1502,33 @@ mod tests {
 
     #[test]
     fn diagnose_formats_the_ladder() {
+        let dir = scratch("ladder");
+        let path = dir.join("pf.sddb");
+        sdd_store::save(&path, &pf()).unwrap();
         let handle = serve(&ServeConfig::default()).unwrap();
-        handle.shared.registry.insert("pf", pf(), 0);
         let mut scratch = Scratch::default();
-        let mut diag = |obs: &str| {
+        let mut execute = |request: &str| {
             let mut out = Vec::new();
             let clock = RequestClock::new(None);
-            execute_line(
-                &format!("DIAG pf {obs}"),
-                &handle.shared,
-                &mut scratch,
-                &clock,
-                &mut out,
-            );
+            execute_line(request, &handle.shared, &mut scratch, &clock, &mut out);
             String::from_utf8(out).unwrap()
         };
-        let reply = diag("01");
+        let reply = execute(&format!("LOAD pf {}", path.display()));
+        assert!(reply.starts_with("OK LOADED pf kind=pass-fail"), "{reply}");
+        let reply = execute("DIAG pf 01");
         assert!(reply.starts_with("OK DIAG quality=exact"), "{reply}");
         assert!(reply.contains("best=0 "), "{reply}");
-        let reply = diag("0X");
+        let reply = execute("DIAG pf 0X");
         assert!(reply.contains("quality=consistent"), "{reply}");
         // A width mismatch is a typed error naming the dictionary's width,
         // not a panic.
-        let reply = diag("011");
+        let reply = execute("DIAG pf 011");
         assert_eq!(
             reply,
             "ERR observed signature: width 3 does not match expected 2\n"
         );
         handle.shutdown();
         handle.wait();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

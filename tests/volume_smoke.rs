@@ -2,7 +2,10 @@
 //! engine, the `sdd volume` CLI, and the served `VOLUME` verb must produce
 //! byte-identical reports for the same seeded corpus; `--jobs` must not
 //! change a byte; and the injected systematic faults must come out as the
-//! top-ranked clusters, above every random-noise cluster.
+//! top-ranked clusters, above every random-noise cluster. The same
+//! dictionary saved whole, as `.sddb` and as v1 text, must report through
+//! the CLI and the served verb exactly what the engine reports over it in
+//! memory.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -11,7 +14,7 @@ use same_different::dict::Procedure1Options;
 use same_different::serve::{serve, Client, ServeConfig};
 use same_different::store::{self, StoredDictionary};
 use same_different::volume::{
-    self, JsonlSink, PreloadedShards, SynthSpec, VolumeOptions, VolumeSummary,
+    self, JsonlSink, PreloadedShards, SynthSpec, VolumeOptions, VolumeSummary, WholeSource,
 };
 use same_different::Experiment;
 use sdd_logic::BitVec;
@@ -118,11 +121,11 @@ fn cli_serve_and_engine_agree_and_rank_systematic_faults_first() {
     assert_eq!(summary.ok, 80);
 
     // Surface 2: the real CLI binary, at jobs=1 and jobs=4.
-    let cli_report = |jobs: &str, out: &str| -> Vec<u8> {
+    let cli_report = |dict: &PathBuf, jobs: &str, out: &str| -> Vec<u8> {
         let out_path = dir.join(out);
         let status = Command::new(env!("CARGO_BIN_EXE_sdd"))
             .arg("volume")
-            .arg(&manifest_path)
+            .arg(dict)
             .arg("--corpus")
             .arg(&corpus_path)
             .args(["--jobs", jobs, "--seed", "11"])
@@ -133,8 +136,8 @@ fn cli_serve_and_engine_agree_and_rank_systematic_faults_first() {
         assert!(status.success(), "sdd volume --jobs {jobs} failed");
         std::fs::read(&out_path).unwrap()
     };
-    let jobs1 = cli_report("1", "report-jobs1.jsonl");
-    let jobs4 = cli_report("4", "report-jobs4.jsonl");
+    let jobs1 = cli_report(&manifest_path, "1", "report-jobs1.jsonl");
+    let jobs4 = cli_report(&manifest_path, "4", "report-jobs4.jsonl");
     assert_eq!(jobs1, jobs4, "--jobs must not change a report byte");
     assert_eq!(jobs1, engine_report, "CLI and engine reports must agree");
 
@@ -156,6 +159,45 @@ fn cli_serve_and_engine_agree_and_rank_systematic_faults_first() {
         engine_report,
         "served VOLUME must equal the CLI report after frame stripping"
     );
+
+    // The whole dictionary, as `.sddb` and as v1 text: each opens as a set
+    // of one shard with no recorded cone, so the CLI report and the served
+    // VOLUME reply both equal the engine's run over the in-memory
+    // dictionary (which has no cone clusters either).
+    let whole_path = dir.join("s298.sddb");
+    store::save(&whole_path, &dictionary).unwrap();
+    let text_path = dir.join("s298.txt");
+    let StoredDictionary::SameDifferent(sd) = &dictionary else {
+        unreachable!("built as same/different")
+    };
+    std::fs::write(
+        &text_path,
+        same_different::dict::io::write_same_different(sd),
+    )
+    .unwrap();
+    let mut lines = corpus.lines().map(|l| Ok(l.to_owned()));
+    let mut whole_report = Vec::new();
+    volume::run(
+        &WholeSource::new(dictionary.clone()),
+        &mut lines,
+        &mut JsonlSink(&mut whole_report),
+        &options,
+    )
+    .unwrap();
+    for (name, path) in [("sddb", &whole_path), ("text", &text_path)] {
+        let report = cli_report(path, "1", &format!("report-{name}.jsonl"));
+        assert_eq!(report, whole_report, "sdd volume over the {name} file");
+        let reply = client
+            .request(&format!("LOAD {name} {}", path.display()))
+            .unwrap();
+        assert!(reply.starts_with("OK LOADED"), "{reply}");
+        let served = client.volume(name, &corpus_lines, "seed=11").unwrap();
+        assert_eq!(
+            strip_frames(&served).into_bytes(),
+            whole_report,
+            "served VOLUME over the {name} file"
+        );
+    }
     assert_eq!(client.request("SHUTDOWN").unwrap(), "OK BYE");
     handle.wait();
 
