@@ -2,7 +2,7 @@
 # Offline CI gate for the workspace. No network access required: the
 # workspace has no third-party dependencies.
 #
-#   ./ci.sh          full gate: build, test, perfbench serve/volume correctness,
+#   ./ci.sh          full gate: build, test, perfbench correctness (all three workloads),
 #                    examples, chaos, fmt, doc, clippy
 #   ./ci.sh quick    build + root-package tests only
 set -euo pipefail
@@ -34,13 +34,19 @@ step "perfbench unit tests (the benchmark's own package)"
 # here makes an API change fail CI before it fails a benchmark run.
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
 
-step "perfbench serve and volume correctness gates (2 s each, seed 7)"
-# Short untraced runs of the two serving workloads. perfbench checks every
-# DIAG reply against the in-process best set (serve) and every lot's
-# counts (volume), and exits nonzero when a check fails, so a change to
-# reply bytes fails here before a benchmark comparison sees it. Their
-# timings are not gated: two seconds on a shared host measure nothing.
-for workload in serve volume; do
+step "perfbench build, serve and volume correctness gates (seed 7)"
+# Untraced runs of all three workloads; perfbench exits nonzero when a
+# check fails, so a wrong result fails here before a benchmark comparison
+# sees it. build (about 30-50 s: ATPG, Procedures 1-2 and the ECO chains
+# on the s1423 profile) checks full <= s/d <= p/f on both test sets, that
+# the committed artifact's pair count equals Procedure 2's, that each
+# artifact decodes to the built dictionary, and that all 30 patched
+# artifacts equal a rebuild; a partition or scoring kernel that miscounts
+# pairs fails those. serve and volume (2 s each) check every DIAG reply
+# against the in-process best set and every lot's counts, so a change to
+# reply bytes fails too. No timing from these runs is gated: one short run
+# on a shared host measures nothing.
+for workload in build serve volume; do
     cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 0
 done

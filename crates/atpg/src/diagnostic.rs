@@ -189,11 +189,11 @@ fn admit_refining(
         for (pos, &fault) in active.iter().enumerate() {
             row[fault] = matrix.class(lane, pos);
         }
+        // Labels are numbered by first appearance, so a refine that splits
+        // nothing leaves the partition as it was.
         let before = partition.group_count();
-        let mut refined = partition.clone();
-        refined.refine(&row);
-        if refined.group_count() > before {
-            *partition = refined;
+        partition.refine(&row);
+        if partition.group_count() > before {
             tests.push(candidate.clone());
             added += 1;
         }

@@ -141,6 +141,18 @@ fn bench_partition() {
         p.refine(&labels);
         p
     });
+    // 97 groups of about 103 faults, split by one bit: Procedure 2's
+    // suffix and prefix step.
+    let grouped = Partition::from_labels(&labels);
+    bench("partition_refine_bits_10k", 50, || {
+        let mut p = grouped.clone();
+        p.refine_bits(|i| i % 7 < 3);
+        p
+    });
+    // 97 × 89 coprime residues leave 8,633 groups: Procedure 2's
+    // without-test-j partition.
+    let other = Partition::from_labels(&(0..10_000u32).map(|i| i % 89).collect::<Vec<_>>());
+    bench("partition_intersect_10k", 50, || grouped.intersect(&other));
 }
 
 fn bench_atpg() {

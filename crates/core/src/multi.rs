@@ -12,7 +12,7 @@
 use sdd_logic::BitVec;
 use sdd_sim::{Partition, ResponseMatrix};
 
-use crate::score_candidates;
+use crate::{score_candidates_into, ScoreScratch};
 
 /// A same/different dictionary with (up to) several baseline vectors per
 /// test.
@@ -130,10 +130,11 @@ impl MultiBaselineDictionary {
 /// ```
 pub fn select_multi_baselines(matrix: &ResponseMatrix, per_test: usize) -> Vec<Vec<u32>> {
     let mut pairs = Partition::unit(matrix.fault_count());
+    let mut scratch = ScoreScratch::default();
     let mut baselines: Vec<Vec<u32>> = vec![Vec::new(); matrix.test_count()];
     for (test, chosen) in baselines.iter_mut().enumerate() {
         for _ in 0..per_test {
-            let gains = score_candidates(matrix, test, &pairs);
+            let gains = score_candidates_into(matrix, test, &pairs, &mut scratch);
             let (best, &gain) = gains
                 .iter()
                 .enumerate()

@@ -11,6 +11,8 @@
 
 use sdd_sim::{Partition, ResponseMatrix};
 
+use crate::{score_candidates_into, ScoreScratch};
+
 /// Greedily orders tests so each next test distinguishes the most remaining
 /// fault pairs under the given same/different `baselines` (use all zeros
 /// for a pass/fail dictionary).
@@ -38,12 +40,15 @@ pub fn order_tests_for_resolution(matrix: &ResponseMatrix, baselines: &[u32]) ->
     let mut remaining: Vec<usize> = (0..k).collect();
     let mut order = Vec::with_capacity(k);
     let mut pairs = Partition::unit(matrix.fault_count());
+    let mut scratch = ScoreScratch::default();
 
     while !remaining.is_empty() {
         let mut best_pos = 0;
         let mut best_gain = 0u64;
         for (pos, &test) in remaining.iter().enumerate() {
-            let gain = split_gain(matrix, test, baselines[test], &pairs);
+            // The gain of a test's own baseline is the pairs it would split.
+            let gain =
+                score_candidates_into(matrix, test, &pairs, &mut scratch)[baselines[test] as usize];
             if gain > best_gain {
                 best_gain = gain;
                 best_pos = pos;
@@ -61,15 +66,6 @@ pub fn order_tests_for_resolution(matrix: &ResponseMatrix, baselines: &[u32]) ->
         order.push(test);
     }
     order
-}
-
-/// Pairs newly distinguished if `test` (with `baseline`) refines `pairs`.
-fn split_gain(matrix: &ResponseMatrix, test: usize, baseline: u32, pairs: &Partition) -> u64 {
-    let before = pairs.indistinguished_pairs();
-    let mut refined = pairs.clone();
-    let classes = matrix.classes(test);
-    refined.refine_bits(|i| classes[i] == baseline);
-    before - refined.indistinguished_pairs()
 }
 
 /// The *resolution profile* of a test order: after each prefix of tests,

@@ -10,9 +10,9 @@
 //!
 //! This implementation keeps the set `P` of target pairs as a *partition*
 //! of faults into undistinguished groups, so scoring all candidates of one
-//! test costs a single O(n) sweep (see `DESIGN.md` §3) while computing
-//! exactly the paper's `dist` values — the worked-example tests reproduce
-//! Tables 4 and 5 digit for digit.
+//! test costs a single sweep over the faults still sharing a group (see
+//! `DESIGN.md` §3) while computing exactly the paper's `dist` values — the
+//! worked-example tests reproduce Tables 4 and 5 digit for digit.
 //!
 //! Restarts are embarrassingly parallel, and this module exploits that:
 //! restart `i`'s test order is derived *independently* from `(seed, i)`
@@ -25,7 +25,6 @@
 //! Restarts a serial run would never have reached (the tail of a wave after
 //! the stopping rule fires) are computed speculatively and discarded.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use sdd_logic::Prng;
@@ -68,16 +67,152 @@ impl Default for Procedure1Options {
     }
 }
 
-/// Reusable buffers for [`score_candidates_into`]: the group-size table, the
-/// `(group, class)` occurrence counts, and the output gains. One scratch per
-/// worker thread amortizes all scoring allocations across an entire
-/// Procedure 1 restart (or Procedure 2 pass), where scoring runs once per
-/// test.
+/// Reusable buffers for [`score_candidates_into`] and the Procedure 1 pass:
+/// the faults of every group that still holds a pair, stored as contiguous
+/// segments, a dense per-class count table and the output gains. One
+/// scratch per worker thread amortizes all scoring allocations across an
+/// entire Procedure 1 restart (or Procedure 2 pass), where scoring runs
+/// once per test.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
-    sizes: Vec<usize>,
-    counts: HashMap<(u32, u32), u64>,
+    /// Fault indices, one segment per group of two or more faults.
+    members: Vec<u32>,
+    /// The end offset in `members` of each segment.
+    ends: Vec<u32>,
+    /// Spare `ends` for [`split`](Self::split) to write into.
+    spare_ends: Vec<u32>,
+    /// Per-class member count of the segment being scored; all zero
+    /// between segments.
+    counts: Vec<u32>,
+    /// The classes with a nonzero count in the segment being scored.
+    touched: Vec<u32>,
     gains: Vec<u64>,
+}
+
+/// A group of one fault, which no test can split, while bucketing.
+const SINGLETON: u32 = u32::MAX;
+
+impl ScoreScratch {
+    /// Loads one segment per group of `pairs` holding two or more faults,
+    /// each in ascending fault order.
+    fn load(&mut self, pairs: &Partition) {
+        // `ends` first holds each group's size, then its next write offset.
+        let cursor = &mut self.ends;
+        cursor.clear();
+        cursor.resize(pairs.group_count(), 0);
+        for &g in pairs.labels() {
+            cursor[g as usize] += 1;
+        }
+        let mut offset = 0u32;
+        self.spare_ends.clear();
+        for slot in cursor.iter_mut() {
+            if *slot >= 2 {
+                let size = *slot;
+                *slot = offset;
+                offset += size;
+                self.spare_ends.push(offset);
+            } else {
+                *slot = SINGLETON;
+            }
+        }
+        self.members.clear();
+        self.members.resize(offset as usize, 0);
+        for (fault, &g) in pairs.labels().iter().enumerate() {
+            let slot = &mut cursor[g as usize];
+            if *slot != SINGLETON {
+                self.members[*slot as usize] = fault as u32;
+                *slot += 1;
+            }
+        }
+        std::mem::swap(&mut self.ends, &mut self.spare_ends);
+    }
+
+    /// Loads the unit partition of `faults` faults.
+    fn load_unit(&mut self, faults: usize) {
+        self.members.clear();
+        self.ends.clear();
+        if faults >= 2 {
+            self.members.extend(0..faults as u32);
+            self.ends.push(faults as u32);
+        }
+    }
+
+    /// `dist(z)` for every class `z` of `test` over the loaded segments: a
+    /// segment of `s` faults, `c` of them in class `z`, adds `c·(s − c)`.
+    fn score(&mut self, matrix: &ResponseMatrix, test: usize) -> &[u64] {
+        let classes = matrix.classes(test);
+        let class_count = matrix.class_count(test);
+        self.gains.clear();
+        self.gains.resize(class_count, 0);
+        if self.counts.len() < class_count {
+            self.counts.resize(class_count, 0);
+        }
+        let mut start = 0;
+        for &end in &self.ends {
+            let segment = &self.members[start..end as usize];
+            for &fault in segment {
+                let class = classes[fault as usize];
+                let count = &mut self.counts[class as usize];
+                if *count == 0 {
+                    self.touched.push(class);
+                }
+                *count += 1;
+            }
+            let size = segment.len() as u64;
+            for &class in &self.touched {
+                let count = u64::from(std::mem::take(&mut self.counts[class as usize]));
+                self.gains[class as usize] += count * (size - count);
+            }
+            self.touched.clear();
+            start = end as usize;
+        }
+        &self.gains
+    }
+
+    /// Refines the loaded segments by one same/different bit: each splits
+    /// into its faults of class `baseline` and the rest, and parts of fewer
+    /// than two faults are dropped.
+    fn split(&mut self, classes: &[u32], baseline: u32) {
+        self.spare_ends.clear();
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for &end in &self.ends {
+            let end = end as usize;
+            let segment = &mut self.members[start..end];
+            let mut same = 0;
+            for i in 0..segment.len() {
+                if classes[segment[i] as usize] == baseline {
+                    segment.swap(i, same);
+                    same += 1;
+                }
+            }
+            // Parts move down to `write`, which never passes their start.
+            for part in [start..start + same, start + same..end] {
+                if part.len() >= 2 {
+                    let len = part.len();
+                    self.members.copy_within(part, write);
+                    write += len;
+                    self.spare_ends.push(write as u32);
+                }
+            }
+            start = end;
+        }
+        self.members.truncate(write);
+        std::mem::swap(&mut self.ends, &mut self.spare_ends);
+    }
+
+    /// Fault pairs left in the loaded segments.
+    fn pairs(&self) -> u64 {
+        let mut start = 0u64;
+        self.ends
+            .iter()
+            .map(|&end| {
+                let size = u64::from(end) - start;
+                start = u64::from(end);
+                size * (size - 1) / 2
+            })
+            .sum()
+    }
 }
 
 /// The result of baseline selection.
@@ -123,21 +258,8 @@ pub fn score_candidates_into<'s>(
     pairs: &Partition,
     scratch: &'s mut ScoreScratch,
 ) -> &'s [u64] {
-    let classes = matrix.classes(test);
-    pairs.group_sizes_into(&mut scratch.sizes);
-    scratch.counts.clear();
-    for (fault, &class) in classes.iter().enumerate() {
-        let group = pairs.group_of(fault);
-        if scratch.sizes[group as usize] >= 2 {
-            *scratch.counts.entry((group, class)).or_insert(0) += 1;
-        }
-    }
-    scratch.gains.clear();
-    scratch.gains.resize(matrix.class_count(test), 0);
-    for (&(group, class), &count) in &scratch.counts {
-        scratch.gains[class as usize] += count * (scratch.sizes[group as usize] as u64 - count);
-    }
-    &scratch.gains
+    scratch.load(pairs);
+    scratch.score(matrix, test)
 }
 
 /// One Procedure 1 pass over the tests in `order`, with the `LOWER` cutoff
@@ -158,7 +280,8 @@ pub fn select_baselines_once(
 }
 
 /// [`select_baselines_once`] reusing a caller-owned scoring scratch — the
-/// form the restart workers drive.
+/// form the restart workers drive. The target pairs live in the scratch's
+/// segments, so each test sweeps only the faults still sharing a group.
 fn select_baselines_once_with(
     matrix: &ResponseMatrix,
     order: &[usize],
@@ -170,16 +293,14 @@ fn select_baselines_once_with(
         matrix.test_count(),
         "order must cover all tests"
     );
-    let mut pairs = Partition::unit(matrix.fault_count());
+    scratch.load_unit(matrix.fault_count());
     let mut baselines = vec![0u32; matrix.test_count()];
     for &test in order {
-        let gains = score_candidates_into(matrix, test, &pairs, scratch);
-        let best = pick_with_lower(gains, lower);
+        let best = pick_with_lower(scratch.score(matrix, test), lower);
         baselines[test] = best;
-        let classes = matrix.classes(test);
-        pairs.refine_bits(|i| classes[i] == best);
+        scratch.split(matrix.classes(test), best);
     }
-    (baselines, pairs.indistinguished_pairs())
+    (baselines, scratch.pairs())
 }
 
 /// Walks candidates in `Z_j` order applying the paper's `LOWER` rule:

@@ -9,7 +9,7 @@
 
 use sdd_sim::{Partition, ResponseMatrix};
 
-use crate::score_candidates;
+use crate::{score_candidates_into, ScoreScratch};
 
 /// Returns the tests whose columns carry resolution, preserving exactly the
 /// partition of the unpruned dictionary with these `baselines`.
@@ -49,9 +49,10 @@ pub fn prune_tests(matrix: &ResponseMatrix, baselines: &[u32]) -> Vec<usize> {
 
     let mut kept = Vec::new();
     let mut prefix = Partition::unit(n);
+    let mut scratch = ScoreScratch::default();
     for j in 0..k {
         let without_j = prefix.intersect(&suffix[j + 1]);
-        let gains = score_candidates(matrix, j, &without_j);
+        let gains = score_candidates_into(matrix, j, &without_j, &mut scratch);
         if gains[baselines[j] as usize] > 0 {
             kept.push(j);
             let classes = matrix.classes(j);

@@ -5,8 +5,15 @@
 //! faults a dictionary *cannot* distinguish form the blocks of a partition.
 //! The number of indistinguished fault pairs — the paper's figure of merit —
 //! is `Σ_G C(|G|, 2)` over the blocks `G`.
+//!
+//! Groups are numbered by first appearance: scanning faults in index order,
+//! each fault not in an earlier fault's group opens the next label. Every
+//! constructor and refinement keeps this numbering, which callers can
+//! observe through [`Partition::labels`] and [`Partition::groups`], and it
+//! makes a refinement that splits nothing leave every label unchanged.
 
-use std::collections::HashMap;
+/// A renumber-table slot no fault has claimed yet.
+const UNSEEN: u32 = u32::MAX;
 
 /// A partition of `n` faults into groups of mutually indistinguished faults.
 ///
@@ -76,30 +83,88 @@ impl Partition {
     }
 
     /// Splits groups by a new observation: faults keep sharing a group only
-    /// if they agree on `labels` too.
+    /// if they agree on `labels` too. Labels may be any `u32` values; only
+    /// their equality matters.
     ///
     /// # Panics
     ///
     /// Panics if `labels.len() != self.len()`.
     pub fn refine(&mut self, labels: &[u32]) {
         assert_eq!(labels.len(), self.len(), "label row width mismatch");
-        let mut renumber: HashMap<(u32, u32), u32> = HashMap::with_capacity(self.group_count());
+        let n = self.len();
+        // Labels index the stamp table below, so one at or above `n` sends
+        // the row through a sort first: no table is sized by a label value.
+        let ranked;
+        let labels = if labels.iter().all(|&label| (label as usize) < n) {
+            labels
+        } else {
+            ranked = rank_labels(labels);
+            &ranked
+        };
+
+        // Bucket the faults by current group, ascending within each bucket.
+        // `end[g]` starts as bucket g's offset and is advanced past each
+        // fault placed, so it finishes as the bucket's end.
+        let groups = self.group_count();
+        let mut end = vec![0u32; groups + 1];
+        for &g in &self.group_of {
+            end[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            end[g + 1] += end[g];
+        }
+        let mut bucketed = vec![0u32; n];
+        for (fault, &g) in self.group_of.iter().enumerate() {
+            let slot = &mut end[g as usize];
+            bucketed[*slot as usize] = fault as u32;
+            *slot += 1;
+        }
+
+        // Within each group, equal labels share a provisional id; `seen`
+        // stamps each label with the last group that used it.
+        let mut seen = vec![(UNSEEN, 0u32); n];
+        let mut provisional = 0u32;
+        let mut start = 0usize;
+        for (g, &stop) in end[..groups].iter().enumerate() {
+            for &fault in &bucketed[start..stop as usize] {
+                let entry = &mut seen[labels[fault as usize] as usize];
+                if entry.0 != g as u32 {
+                    *entry = (g as u32, provisional);
+                    provisional += 1;
+                }
+                self.group_of[fault as usize] = entry.1;
+            }
+            start = stop as usize;
+        }
+
+        // Renumber the provisional ids by first appearance.
+        let mut renumber = vec![UNSEEN; provisional as usize];
         let mut next = 0u32;
-        for (slot, &label) in self.group_of.iter_mut().zip(labels) {
-            let key = (*slot, label);
-            *slot = *renumber.entry(key).or_insert_with(|| {
-                let id = next;
+        for slot in &mut self.group_of {
+            let id = &mut renumber[*slot as usize];
+            if *id == UNSEEN {
+                *id = next;
                 next += 1;
-                id
-            });
+            }
+            *slot = *id;
         }
         self.group_count = next;
     }
 
     /// Splits groups by a boolean observation (e.g. one pass/fail bit).
     pub fn refine_bits(&mut self, bit: impl Fn(usize) -> bool) {
-        let labels: Vec<u32> = (0..self.len()).map(|i| u32::from(bit(i))).collect();
-        self.refine(&labels);
+        // Group g splits into keys 2g and 2g + 1, numbered on first sight.
+        let mut renumber = vec![UNSEEN; 2 * self.group_count()];
+        let mut next = 0u32;
+        for (i, slot) in self.group_of.iter_mut().enumerate() {
+            let id = &mut renumber[2 * *slot as usize + usize::from(bit(i))];
+            if *id == UNSEEN {
+                *id = next;
+                next += 1;
+            }
+            *slot = *id;
+        }
+        self.group_count = next;
     }
 
     /// Intersects with another partition over the same faults: the result
@@ -116,20 +181,11 @@ impl Partition {
 
     /// Sizes of all groups.
     pub fn group_sizes(&self) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        self.group_sizes_into(&mut sizes);
-        sizes
-    }
-
-    /// [`group_sizes`](Self::group_sizes) into a caller-owned buffer, so hot
-    /// loops (candidate scoring runs once per test per Procedure 1 restart)
-    /// can reuse one allocation.
-    pub fn group_sizes_into(&self, sizes: &mut Vec<usize>) {
-        sizes.clear();
-        sizes.resize(self.group_count(), 0);
+        let mut sizes = vec![0; self.group_count()];
         for &g in &self.group_of {
             sizes[g as usize] += 1;
         }
+        sizes
     }
 
     /// Number of fault pairs in the same group — the paper's
@@ -149,6 +205,22 @@ impl Partition {
         }
         groups
     }
+}
+
+/// Replaces each label by its rank among the row's distinct labels, so
+/// equal labels stay equal and every rank is below `labels.len()`.
+fn rank_labels(labels: &[u32]) -> Vec<u32> {
+    let mut by_label: Vec<u32> = (0..labels.len() as u32).collect();
+    by_label.sort_unstable_by_key(|&fault| labels[fault as usize]);
+    let mut ranked = vec![0u32; labels.len()];
+    let mut rank = 0u32;
+    for (pos, &fault) in by_label.iter().enumerate() {
+        if pos > 0 && labels[fault as usize] != labels[by_label[pos - 1] as usize] {
+            rank += 1;
+        }
+        ranked[fault as usize] = rank;
+    }
+    ranked
 }
 
 impl crate::ResponseMatrix {
@@ -253,6 +325,22 @@ mod tests {
         b.refine(&rows[0]);
         assert_eq!(a.indistinguished_pairs(), b.indistinguished_pairs());
         assert_eq!(a.group_count(), b.group_count());
+    }
+
+    #[test]
+    fn large_labels_renumber_like_small_ones() {
+        let large = Partition::from_labels(&[u32::MAX, 0, u32::MAX, 7]);
+        assert_eq!(large.labels(), [0, 1, 0, 2]);
+        assert_eq!(large, Partition::from_labels(&[2, 0, 2, 1]));
+    }
+
+    #[test]
+    fn refine_that_splits_nothing_keeps_labels() {
+        let mut p = Partition::from_labels(&[3, 1, 3, 2, 1]);
+        let before = p.clone();
+        p.refine(&[9, 4, 9, 0, 4]);
+        p.refine_bits(|i| i == 1 || i == 4);
+        assert_eq!(p, before);
     }
 
     #[test]
