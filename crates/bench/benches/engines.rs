@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the engines behind Table 6: fault simulation
 //! throughput, baseline selection (Procedures 1 and 2), dictionary
-//! construction, and diagnosis lookups.
+//! construction, and diagnosis lookups — plus one ECO patch (`eco`).
 //!
 //! These quantify the cost model the paper argues from: dictionary
 //! construction is a one-time offline cost, lookups are cheap, and the
@@ -14,8 +14,10 @@
 //! `cargo bench -p sdd-bench --bench engines -- hard_faults`.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use same_different::patch::{patch_dictionary, PatchOptions};
+use same_different::store::{encode, StoredDictionary};
 use same_different::Experiment;
 use sdd_atpg::sat::{generate_sat_bounded, SatOutcome};
 use sdd_atpg::{random_patterns, AtpgOptions, Podem, PodemOutcome};
@@ -24,6 +26,7 @@ use sdd_core::{
 };
 use sdd_fault::Fault;
 use sdd_logic::{MaskedBitVec, PatternBlock, Prng};
+use sdd_netlist::{Circuit, Driver};
 use sdd_sim::{Engine, Partition};
 
 /// Times `iters` runs of `f` and prints the mean per-iteration time.
@@ -320,8 +323,77 @@ fn bench_response_matrix_simulate() {
     });
 }
 
+/// perfbench's rewire rule, first candidate in net order: a gate pin fed
+/// by a net of fan-out ≥ 3 moves to another primary input or flip-flop of
+/// fan-out ≥ 2 that the gate does not read, which keeps the fault list.
+fn first_rewire(circuit: &Circuit) -> Circuit {
+    let fanout = circuit.fanout_counts();
+    for gate in circuit.nets() {
+        let Driver::Gate { kind, inputs } = circuit.driver(gate) else {
+            continue;
+        };
+        for (pin, &old) in inputs.iter().enumerate() {
+            let source = circuit
+                .inputs()
+                .iter()
+                .chain(circuit.dffs())
+                .find(|&&s| s != old && fanout[s.index()] >= 2 && !inputs.contains(&s));
+            if let (true, Some(&source)) = (fanout[old.index()] >= 3, source) {
+                let mut inputs = inputs.clone();
+                inputs[pin] = source;
+                let driver = Driver::Gate {
+                    kind: *kind,
+                    inputs,
+                };
+                return circuit.with_driver(gate, driver).expect("acyclic rewire");
+            }
+        }
+    }
+    panic!("no rewire candidate");
+}
+
+fn bench_eco() {
+    // One ECO patch of a saved s953-profile artifact; the artifact is
+    // restored, untimed, before each iteration.
+    let (exp, tests) = fixture("s953");
+    let matrix = exp.simulate(&tests);
+    let order: Vec<usize> = (0..matrix.test_count()).collect();
+    let (baselines, _) = select_baselines_once(&matrix, &order, Some(10));
+    let dictionary = SameDifferentDictionary::build(&matrix, &baselines);
+    let bytes = encode(&StoredDictionary::SameDifferent(dictionary)).expect("encodes");
+    let dir = std::env::temp_dir().join(format!("sdd-bench-eco-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("s953.sddb");
+    let old = exp.circuit();
+    let new = first_rewire(old);
+    let iters = 20u32;
+    let mut timed = Duration::ZERO;
+    let mut report = None;
+    for iter in 0..=iters {
+        std::fs::write(&path, &bytes).expect("restore the artifact");
+        let start = Instant::now();
+        let patched = patch_dictionary(old, &new, &tests, &path, &PatchOptions::default());
+        // Iteration 0 is the warm-up.
+        if iter > 0 {
+            timed += start.elapsed();
+        }
+        report = Some(black_box(patched.expect("patch-compatible rewire")));
+    }
+    let report = report.expect("at least one iteration");
+    println!(
+        "{:<40} {:>12.3} ms/iter  ({iters} iters)  dirty {}/{} faults, touched {}/{} tests",
+        "patch_rewire_s953",
+        timed.as_secs_f64() * 1e3 / f64::from(iters),
+        report.dirty_faults,
+        report.total_faults,
+        report.touched_tests,
+        report.total_tests,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn main() {
-    let groups: [(&str, fn()); 8] = [
+    let groups: [(&str, fn()); 9] = [
         ("fault_simulation", bench_fault_simulation),
         ("baseline_selection", bench_baseline_selection),
         ("dictionaries", bench_dictionaries),
@@ -330,6 +402,7 @@ fn main() {
         ("alternative_engines", bench_alternative_engines),
         ("hard_faults", bench_hard_faults),
         ("response_matrix_simulate", bench_response_matrix_simulate),
+        ("eco", bench_eco),
     ];
     // `cargo bench` passes flags such as `--bench`; the first other
     // argument, if any, filters groups by name.

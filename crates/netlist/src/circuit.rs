@@ -158,6 +158,16 @@ pub enum Driver {
 }
 
 impl Driver {
+    /// What kind of driver this is: `"primary input"`, `"flip-flop"` or
+    /// `"gate"`.
+    pub(crate) fn role(&self) -> &'static str {
+        match self {
+            Driver::Input => "primary input",
+            Driver::Dff { .. } => "flip-flop",
+            Driver::Gate { .. } => "gate",
+        }
+    }
+
     /// The fan-in nets of this driver (empty for primary inputs).
     pub fn fanin(&self) -> &[NetId] {
         match self {
@@ -213,6 +223,17 @@ pub enum NetlistError {
     /// The circuit has no primary outputs or flip-flops, so nothing is
     /// observable and no fault can ever be detected.
     NothingObservable,
+    /// An edit would change what kind of driver a net has (primary input,
+    /// flip-flop or gate), which the circuit's input and flip-flop lists
+    /// fix.
+    DriverRoleChange {
+        /// Name of the net.
+        name: String,
+        /// The net's role (`"primary input"`, `"flip-flop"` or `"gate"`).
+        from: &'static str,
+        /// The role the new driver would give it.
+        to: &'static str,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -236,6 +257,12 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::NothingObservable => {
                 write!(f, "circuit has no primary outputs and no flip-flops")
+            }
+            NetlistError::DriverRoleChange { name, from, to } => {
+                write!(
+                    f,
+                    "net {name:?} is a {from} and cannot be redriven as a {to}"
+                )
             }
         }
     }
@@ -380,11 +407,21 @@ impl Circuit {
     ///
     /// # Errors
     ///
+    /// [`NetlistError::DriverRoleChange`] when the new driver is of another
+    /// kind than the old one (a primary input, flip-flop or gate stays one),
     /// [`NetlistError::BadArity`] for a gate driver with the wrong input
     /// count, [`NetlistError::UndrivenNet`] when a gate input is out of
     /// range, and [`NetlistError::CombinationalCycle`] when the rewire
     /// creates one.
     pub fn with_driver(&self, net: NetId, driver: Driver) -> Result<Self, NetlistError> {
+        let (from, to) = (self.driver(net).role(), driver.role());
+        if from != to {
+            return Err(NetlistError::DriverRoleChange {
+                name: self.net_name(net).to_owned(),
+                from,
+                to,
+            });
+        }
         if let Driver::Gate { kind, inputs } = &driver {
             let arity_ok = if kind.is_unary() {
                 inputs.len() == 1
@@ -698,6 +735,46 @@ mod tests {
             ),
             Err(NetlistError::CombinationalCycle { .. })
         ));
+    }
+
+    #[test]
+    fn with_driver_keeps_every_net_in_its_role() {
+        let mut b = CircuitBuilder::new("seq");
+        let a = b.input("a");
+        let q = b.net("q");
+        let g = b.gate("g", GateKind::Nand, vec![a, q]);
+        b.dff("q", g);
+        b.output(g);
+        let c = b.finish().unwrap();
+        let gate = Driver::Gate {
+            kind: GateKind::Not,
+            inputs: vec![a],
+        };
+        // An input or a flip-flop turned into a gate would stay listed in
+        // `inputs()` or `dffs()`; a gate turned into either would be
+        // listed in neither.
+        for (net, driver, from, to) in [
+            (a, gate.clone(), "primary input", "gate"),
+            (q, gate, "flip-flop", "gate"),
+            (g, Driver::Input, "gate", "primary input"),
+            (g, Driver::Dff { data: a }, "gate", "flip-flop"),
+            (a, Driver::Dff { data: g }, "primary input", "flip-flop"),
+        ] {
+            let err = c.with_driver(net, driver).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::DriverRoleChange {
+                    name: c.net_name(net).to_owned(),
+                    from,
+                    to
+                }
+            );
+            assert!(err.to_string().contains("cannot be redriven"), "{err}");
+        }
+        // Moving a flip-flop's data net keeps its role.
+        let moved = c.with_driver(q, Driver::Dff { data: a }).unwrap();
+        assert_eq!(moved.driver(q), &Driver::Dff { data: a });
+        crate::CombView::new(&moved);
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod tester;
 pub use compactor::SpaceCompactor;
 pub use cone::{contiguous_ranges, OutputCones};
 pub use corruption::{CorruptionModel, TruncatedLog};
-pub use eco::EcoDelta;
+pub use eco::{EcoCircuits, EcoDelta, EcoPass};
 pub use engine::{Engine, FaultEffect};
 pub use parallel::available_jobs;
 pub use partition::Partition;

@@ -15,7 +15,7 @@ use crate::Engine;
 /// per-chunk fixed costs (a fresh [`Engine`], a redundant fault-free pass
 /// per pattern block, the label remap on merge) rival the fault simulation
 /// itself.
-const MIN_CHUNK_FAULTS: usize = 32;
+pub(crate) const MIN_CHUNK_FAULTS: usize = 32;
 
 /// Chunks per worker. More than one lets fast workers steal the slack of
 /// slow chunks (fault cost varies wildly with cone size) without shrinking
@@ -77,60 +77,26 @@ impl ResponseMatrix {
         tests: &[BitVec],
     ) -> Self {
         let width = view.inputs().len();
-        let fault_count = faults.len();
-        let mut class = vec![0u32; tests.len() * fault_count];
-        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; tests.len()];
-        let mut interner: Vec<HashMap<Vec<u32>, u32>> =
-            (0..tests.len()).map(|_| HashMap::new()).collect();
+        let mut table = ClassTable::new(tests.len(), faults.len());
         let mut good = Vec::with_capacity(tests.len());
-
         let mut engine = Engine::new(circuit, view);
-        let mut lane_diffs: Vec<Vec<u32>> = (0..LANES).map(|_| Vec::new()).collect();
-
         for (block_index, chunk) in tests.chunks(LANES).enumerate() {
-            let base = block_index * LANES;
-            engine.load_block(&PatternBlock::from_patterns(width, chunk));
+            let block = PatternBlock::from_patterns(width, chunk);
+            engine.load_block(&block);
             for lane in 0..chunk.len() {
                 good.push(engine.good_response(lane));
             }
             for (fault_pos, &fault_id) in faults.iter().enumerate() {
                 let effect = engine.run_fault(universe.fault(fault_id));
-                if effect.detect == 0 {
-                    continue; // all lanes stay class 0
-                }
-                for diffs in &mut lane_diffs[..chunk.len()] {
-                    diffs.clear();
-                }
-                for &(pos, word) in &effect.output_diffs {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        lane_diffs[lane].push(pos);
-                    }
-                }
-                for (lane, diffs) in lane_diffs[..chunk.len()].iter().enumerate() {
-                    if diffs.is_empty() {
-                        continue;
-                    }
-                    let test = base + lane;
-                    let next = distinct[test].len() as u32;
-                    let label = *interner[test].entry(diffs.clone()).or_insert_with(|| {
-                        distinct[test].push(diffs.clone());
-                        next
-                    });
-                    class[test * fault_count + fault_pos] = label;
-                }
+                table.record_lanes(
+                    fault_pos,
+                    &effect.output_diffs,
+                    block.lane_mask(),
+                    block_index * LANES,
+                );
             }
         }
-
-        Self {
-            fault_count,
-            output_count: view.outputs().len(),
-            class,
-            distinct,
-            good,
-        }
+        table.into_matrix(good, view.outputs().len())
     }
 
     /// [`simulate`](Self::simulate) fanned out over `jobs` worker threads.
@@ -203,56 +169,37 @@ impl ResponseMatrix {
         });
         let mut parts = parts.into_inner().expect("chunk result lock");
         parts.sort_unstable_by_key(|&(index, _)| index);
-        Self::merge_fault_chunks(parts.into_iter().map(|(_, part)| part), view, tests.len())
+        let parts = parts.into_iter().map(|(_, part)| part).collect();
+        Self::merge_fault_chunks(parts, view, tests.len())
     }
 
     /// Concatenates per-chunk matrices (contiguous fault ranges of one fault
-    /// list, same tests) back into one matrix, re-interning class labels per
-    /// test in chunk-then-fault order — exactly the first-occurrence order of
-    /// the serial scan.
-    fn merge_fault_chunks(
-        parts: impl Iterator<Item = Self>,
-        view: &CombView,
-        tests: usize,
-    ) -> Self {
-        let mut fault_count = 0;
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); tests];
-        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; tests];
-        let mut interner: Vec<HashMap<Vec<u32>, u32>> =
-            (0..tests).map(|_| HashMap::new()).collect();
-        let mut good: Option<Vec<BitVec>> = None;
+    /// list, same tests, in fault order) back into one matrix, re-interning
+    /// class labels per test in chunk-then-fault order — exactly the
+    /// first-occurrence order of the serial scan.
+    fn merge_fault_chunks(parts: Vec<Self>, view: &CombView, tests: usize) -> Self {
+        let fault_count = parts.iter().map(|part| part.fault_count).sum();
+        let mut table = ClassTable::new(tests, fault_count);
         let mut remap: Vec<u32> = Vec::new();
-
-        for part in parts {
+        let mut offset = 0;
+        for part in &parts {
             debug_assert_eq!(part.test_count(), tests, "chunks share one test set");
-            fault_count += part.fault_count;
-            // Every chunk simulated the same fault-free responses; keep the
-            // first copy.
-            good.get_or_insert(part.good);
             for test in 0..tests {
                 remap.clear();
                 remap.push(0); // class 0 is fault-free in every chunk
                 for diffs in &part.distinct[test][1..] {
-                    let fresh = distinct[test].len() as u32;
-                    let label = *interner[test].entry(diffs.clone()).or_insert_with(|| {
-                        distinct[test].push(diffs.clone());
-                        fresh
-                    });
-                    remap.push(label);
+                    remap.push(table.intern(test, diffs));
                 }
-                let row = &part.class[test * part.fault_count..(test + 1) * part.fault_count];
-                rows[test].extend(row.iter().map(|&label| remap[label as usize]));
+                for (fault, &label) in part.classes(test).iter().enumerate() {
+                    table.set(test, offset + fault, remap[label as usize]);
+                }
             }
+            offset += part.fault_count;
         }
-
-        Self::from_class_parts(
-            good.unwrap_or_default(),
-            fault_count,
-            view.outputs().len(),
-            rows.concat(),
-            distinct,
-        )
-        .expect("chunk merge preserves matrix invariants")
+        // Every chunk simulated the same fault-free responses; keep the
+        // first copy.
+        let good = parts.into_iter().next().map(|part| part.good);
+        table.into_matrix(good.unwrap_or_default(), view.outputs().len())
     }
 
     /// Builds a matrix from explicit responses instead of simulation: one
@@ -286,35 +233,23 @@ impl ResponseMatrix {
         assert_eq!(good.len(), responses.len(), "one response row per test");
         let fault_count = responses.first().map_or(0, Vec::len);
         let output_count = good.first().map_or(0, BitVec::len);
-        let mut class = vec![0u32; good.len() * fault_count];
-        let mut distinct: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]; good.len()];
+        let mut table = ClassTable::new(good.len(), fault_count);
+        let mut diff: Vec<u32> = Vec::new();
         for (test, row) in responses.iter().enumerate() {
             assert_eq!(row.len(), fault_count, "ragged fault row in test {test}");
-            let mut interner: HashMap<Vec<u32>, u32> = HashMap::new();
             for (fault, response) in row.iter().enumerate() {
                 assert_eq!(response.len(), output_count, "response width mismatch");
-                let diff: Vec<u32> = (0..output_count)
-                    .filter(|&o| response.bit(o) != good[test].bit(o))
-                    .map(|o| o as u32)
-                    .collect();
-                if diff.is_empty() {
-                    continue;
-                }
-                let next = distinct[test].len() as u32;
-                class[test * fault_count + fault] =
-                    *interner.entry(diff.clone()).or_insert_with(|| {
-                        distinct[test].push(diff.clone());
-                        next
-                    });
+                diff.clear();
+                diff.extend(
+                    (0..output_count)
+                        .filter(|&o| response.bit(o) != good[test].bit(o))
+                        .map(|o| o as u32),
+                );
+                let label = table.intern(test, &diff);
+                table.set(test, fault, label);
             }
         }
-        Self {
-            fault_count,
-            output_count,
-            class,
-            distinct,
-            good,
-        }
+        table.into_matrix(good, output_count)
     }
 
     /// Reassembles a matrix from its stored parts — the exact inverse of
@@ -478,6 +413,117 @@ impl ResponseMatrix {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// The one response-class interner behind every [`ResponseMatrix`]
+/// constructor: a class matrix under construction, numbering each test's
+/// distinct diff lists (sorted flipped-output positions) by first
+/// appearance, with class 0 the empty list. A lookup borrows its diff list;
+/// only a new class copies it.
+pub(crate) struct ClassTable {
+    fault_count: usize,
+    /// Row-major `class[test * fault_count + fault]`, as in the matrix.
+    class: Vec<u32>,
+    /// Per test: class id → diff list.
+    distinct: Vec<Vec<Vec<u32>>>,
+    /// Per test: diff list → class id.
+    index: Vec<HashMap<Vec<u32>, u32>>,
+    /// Per-lane diff-list scratch for [`record_lanes`](Self::record_lanes).
+    lane_diffs: Vec<Vec<u32>>,
+}
+
+impl ClassTable {
+    /// An empty table of `tests` columns over `fault_count` faults, every
+    /// entry class 0.
+    pub(crate) fn new(tests: usize, fault_count: usize) -> Self {
+        Self {
+            fault_count,
+            class: vec![0; tests * fault_count],
+            distinct: vec![vec![Vec::new()]; tests],
+            index: (0..tests).map(|_| HashMap::new()).collect(),
+            lane_diffs: (0..LANES).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// The class of `diffs` under `test`, numbering it on first appearance.
+    fn intern(&mut self, test: usize, diffs: &[u32]) -> u32 {
+        intern(&mut self.index[test], &mut self.distinct[test], diffs)
+    }
+
+    /// Sets `fault`'s class under `test`.
+    fn set(&mut self, test: usize, fault: usize, class: u32) {
+        self.class[test * self.fault_count + fault] = class;
+    }
+
+    /// Records `fault`'s class in every lane of `lanes` from its output-diff
+    /// words (the [`FaultEffect::output_diffs`](crate::FaultEffect) form: ascending
+    /// output positions, bit `p` set when the output differs under lane
+    /// `p`). The `i`-th set lane of `lanes`, counting up from lane 0, is test
+    /// `first_test + i`; lanes without a difference stay class 0.
+    pub(crate) fn record_lanes(
+        &mut self,
+        fault: usize,
+        output_diffs: &[(u32, u64)],
+        lanes: u64,
+        first_test: usize,
+    ) {
+        let detected = output_diffs.iter().fold(0, |acc, &(_, word)| acc | word) & lanes;
+        for lane in set_lanes(detected) {
+            self.lane_diffs[lane].clear();
+        }
+        for &(pos, word) in output_diffs {
+            for lane in set_lanes(word & lanes) {
+                self.lane_diffs[lane].push(pos);
+            }
+        }
+        for lane in set_lanes(detected) {
+            let test = first_test + (lanes & ((1u64 << lane) - 1)).count_ones() as usize;
+            let label = intern(
+                &mut self.index[test],
+                &mut self.distinct[test],
+                &self.lane_diffs[lane],
+            );
+            self.class[test * self.fault_count + fault] = label;
+        }
+    }
+
+    /// The finished matrix, given each test's fault-free response.
+    pub(crate) fn into_matrix(self, good: Vec<BitVec>, output_count: usize) -> ResponseMatrix {
+        debug_assert_eq!(good.len(), self.distinct.len(), "one response per test");
+        ResponseMatrix {
+            fault_count: self.fault_count,
+            output_count,
+            class: self.class,
+            distinct: self.distinct,
+            good,
+        }
+    }
+}
+
+/// One test's interning step: the class of `diffs`, appended to `distinct`
+/// on first appearance. The empty list is class 0.
+fn intern(index: &mut HashMap<Vec<u32>, u32>, distinct: &mut Vec<Vec<u32>>, diffs: &[u32]) -> u32 {
+    if diffs.is_empty() {
+        return 0;
+    }
+    if let Some(&class) = index.get(diffs) {
+        return class;
+    }
+    let class = distinct.len() as u32;
+    distinct.push(diffs.to_vec());
+    index.insert(diffs.to_vec(), class);
+    class
+}
+
+/// The set lanes of `word`, lowest first.
+pub(crate) fn set_lanes(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let lane = word.trailing_zeros() as usize;
+            word &= word - 1;
+            lane
+        })
+    })
 }
 
 #[cfg(test)]

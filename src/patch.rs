@@ -8,16 +8,23 @@
 //! baseline policy. The pipeline:
 //!
 //! 1. **Cone delta** ([`sdd_sim::EcoDelta`]): which outputs and faults the
-//!    changed drivers can reach, consulting both circuits' cones.
-//! 2. **Phase 1** — simulate the *dirty faults* under **all** tests on both
-//!    the old and the new circuit. The old run cross-checks the artifact
-//!    (a stale or mismatched dictionary is a typed error, not a silent
-//!    corruption); comparing the two runs finds the *touched tests*, the
-//!    tests where any dirty fault's diff set or the fault-free response
-//!    changed.
-//! 3. **Phase 2** — simulate **all** faults under only the touched tests
-//!    on the new circuit. Response-class interning is per test, so these
-//!    columns are exactly the columns a full rebuild would produce.
+//!    changed drivers can reach, consulting both circuits' cones, plus
+//!    every output whose observed net differs between the two views (a
+//!    moved flip-flop data net).
+//! 2. **Lockstep pass** ([`EcoDelta::lockstep`]) — the dirty faults under
+//!    **all** tests, each 64-test block loaded into an old-circuit and a
+//!    new-circuit engine and every dirty fault run on both. Word operations
+//!    on the two engines' output-diff words give the *touched tests* (the
+//!    fault-free response or a dirty fault's diff set moved) and each
+//!    dirty fault's old "differs from the stored baseline" bits, which
+//!    cross-check the artifact: a stale or mismatched dictionary is a typed
+//!    error, not a silent corruption. Nothing is interned here.
+//! 3. **Touched columns** ([`EcoPass::touched_columns`](sdd_sim::EcoPass::touched_columns))
+//!    — **all** faults under only the touched tests on the new circuit,
+//!    interned once in fault order: dirty faults from the new diff words
+//!    the pass kept, clean faults from one new-circuit run over the blocks
+//!    that hold touched tests. Response-class interning is per test, so
+//!    these columns are exactly the columns a full rebuild would produce.
 //! 4. **Baseline refresh** — touched tests get a [`Budget`]-bounded
 //!    Procedure 2 pass ([`sdd_core::refresh_baselines_budgeted`]) whose
 //!    replacement decisions are evaluated against the *full* dictionary:
@@ -32,19 +39,21 @@
 //!    last.
 //!
 //! Why this is exact: an output is *dirty* when a changed net's cone (old
-//! or new) contains it; a clean output computes the same function before
-//! and after, so every fault's value there is unchanged. A fault is
-//! *dirty* when its cone meets a dirty output; a clean fault's diff set
-//! (faulty vs fault-free positions) is therefore invariant under every
-//! test, which means per-test response partitions can only change through
-//! dirty faults — and those are exactly what Phase 1 watches.
+//! or new) contains it, or when it observes another net in the new circuit;
+//! a clean output observes the same net, whose fan-in cone holds no
+//! changed driver, so it computes the same function before and after and
+//! every fault's value there is unchanged. A fault is *dirty* when its
+//! cone meets a dirty output; a clean fault's diff set (faulty vs
+//! fault-free positions) is therefore invariant under every test, which
+//! means per-test response partitions can only change through dirty
+//! faults — and those are exactly what the lockstep pass watches.
 
 use std::path::Path;
 
 use sdd_core::{refresh_baselines_budgeted, Budget, SameDifferentDictionary};
 use sdd_logic::{BitVec, SddError};
 use sdd_netlist::{Circuit, NetId};
-use sdd_sim::{EcoDelta, Partition, ResponseMatrix};
+use sdd_sim::{EcoCircuits, EcoDelta, Partition};
 use sdd_store::{DictionaryKind, PatchStats, SdColumnPatch, ShardedReader, StoredDictionary};
 
 use crate::Experiment;
@@ -52,8 +61,9 @@ use crate::Experiment;
 /// Tuning knobs for [`patch_dictionary`].
 #[derive(Debug, Clone)]
 pub struct PatchOptions {
-    /// Worker threads for the two simulation phases (output is identical
-    /// for every value).
+    /// Worker threads for the lockstep pass over the dirty faults and for
+    /// the clean faults' touched-column runs (output is identical for every
+    /// value).
     pub jobs: usize,
     /// Budget for the touched-test baseline refresh (Procedure 2 passes).
     /// An exhausted budget keeps the best baselines found so far — the
@@ -144,6 +154,14 @@ fn load_artifact(path: &Path) -> Result<SameDifferentDictionary, SddError> {
     )
 }
 
+/// The lowest bit position where two equal-length vectors differ.
+fn first_difference(a: &BitVec, b: &BitVec) -> Option<usize> {
+    a.as_words()
+        .zip(b.as_words())
+        .enumerate()
+        .find_map(|(w, (x, y))| (x != y).then(|| w * 64 + (x ^ y).trailing_zeros() as usize))
+}
+
 /// Checks the preconditions that make patching (rather than rebuilding)
 /// sound: the two circuits enumerate and collapse to the *identical* fault
 /// list, so fault indices in the artifact keep their meaning.
@@ -232,76 +250,48 @@ pub fn patch_dictionary(
         return Ok(report);
     }
 
-    // Phase 1: dirty faults × all tests, both circuits. (Runs even when
-    // the dirty fault set is empty: the fault-free responses alone decide
-    // whether baseline vectors moved.)
-    let dirty_ids: Vec<_> = delta.dirty_faults().iter().map(|&p| faults[p]).collect();
-    let old_dirty = ResponseMatrix::simulate_jobs(
+    // One lockstep pass of the dirty faults over both circuits finds the
+    // touched tests and each dirty fault's old "differs from the stored
+    // baseline" row.
+    let eco = EcoCircuits {
         old,
-        old_exp.view(),
-        old_exp.universe(),
-        &dirty_ids,
-        tests,
-        options.jobs,
-    );
-    let new_dirty = ResponseMatrix::simulate_jobs(
+        old_view: old_exp.view(),
         new,
-        new_exp.view(),
-        new_exp.universe(),
-        &dirty_ids,
-        tests,
-        options.jobs,
-    );
+        new_view: new_exp.view(),
+        universe: old_exp.universe(),
+        faults,
+    };
+    let stored: Vec<BitVec> = (0..k).map(|t| dictionary.baseline(t).clone()).collect();
+    let pass = delta.lockstep(&eco, tests, &stored, options.jobs);
 
     // Cross-check the artifact against the old circuit where they must
     // agree: a dirty fault's stored signature bit says whether its old
-    // response differs from the stored baseline vector.
-    for test in 0..k {
-        let baseline = dictionary.baseline(test);
-        // Memoized per response class: whole classes share the verdict.
-        let mut differs: Vec<Option<bool>> = vec![None; old_dirty.class_count(test)];
-        for (local, &global) in delta.dirty_faults().iter().enumerate() {
-            let class = old_dirty.class(test, local);
-            let differs = *differs[class as usize]
-                .get_or_insert_with(|| old_dirty.response(test, class) != *baseline);
-            let stored = dictionary.signature(global).bit(test);
-            if stored != differs {
-                return Err(SddError::invalid(format!(
-                    "artifact disagrees with the old netlist at test {test}, fault {global}: \
-                     it was not built from this circuit and test set — rebuild instead",
-                )));
-            }
-        }
+    // response differs from the stored baseline vector. The error names
+    // the first disagreement in test-major order.
+    let disagreement = delta
+        .dirty_faults()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &fault)| {
+            first_difference(pass.differs(i), dictionary.signature(fault)).map(|t| (t, fault))
+        })
+        .min();
+    if let Some((test, fault)) = disagreement {
+        return Err(SddError::invalid(format!(
+            "artifact disagrees with the old netlist at test {test}, fault {fault}: \
+             it was not built from this circuit and test set — rebuild instead",
+        )));
     }
 
-    // A test is touched when the new circuit changes its fault-free
-    // response or any dirty fault's diff set — equivalently, when any
-    // response vector the dictionary column depends on moved.
-    let touched: Vec<usize> = (0..k)
-        .filter(|&t| {
-            old_dirty.good_response(t) != new_dirty.good_response(t)
-                || (0..dirty_ids.len()).any(|p| {
-                    old_dirty.class_diffs(t, old_dirty.class(t, p))
-                        != new_dirty.class_diffs(t, new_dirty.class(t, p))
-                })
-        })
-        .collect();
+    let touched = pass.touched();
     report.touched_tests = touched.len();
     if touched.is_empty() {
         return Ok(report);
     }
 
-    // Phase 2: all faults × touched tests on the new circuit. Interning is
-    // per test, so these are exactly the rebuilt dictionary's columns.
-    let touched_patterns: Vec<BitVec> = touched.iter().map(|&t| tests[t].clone()).collect();
-    let matrix = ResponseMatrix::simulate_jobs(
-        new,
-        new_exp.view(),
-        new_exp.universe(),
-        faults,
-        &touched_patterns,
-        options.jobs,
-    );
+    // All faults × touched tests on the new circuit: exactly the rebuilt
+    // dictionary's columns.
+    let matrix = pass.touched_columns(&eco, tests, options.jobs);
 
     // Inherited baselines: the class whose new response equals the stored
     // baseline vector, falling back to the fault-free class when the ECO
@@ -484,6 +474,62 @@ mod tests {
         let err =
             patch_dictionary(&old, &new, &tests, &path, &PatchOptions::default()).unwrap_err();
         assert!(err.to_string().contains("rebuild"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `q = DFF(x)` becomes `q = DFF(y)`. `x` and `y` keep fan-out above
+    /// one, so the fault list and its collapsing stay the same, but `q`'s
+    /// pseudo-output now observes `y`: an output that no changed net's cone
+    /// holds, since `q`'s cone covers only what `q` feeds.
+    fn flip_flop_rewire() -> (Circuit, Circuit) {
+        let old = sdd_netlist::bench::parse(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\n\
+             OUTPUT(o1)\nOUTPUT(o2)\nOUTPUT(o3)\nOUTPUT(o4)\nOUTPUT(o5)\n\
+             x = NAND(a, b)\ny = NOR(b, c)\nq = DFF(x)\n\
+             o1 = AND(x, a)\no2 = OR(x, c)\no3 = AND(y, a)\no4 = OR(y, c)\no5 = NOT(q)\n",
+        )
+        .unwrap();
+        let q = old.net("q").unwrap();
+        let y = old.net("y").unwrap();
+        let new = old.with_driver(q, Driver::Dff { data: y }).unwrap();
+        (old, new)
+    }
+
+    #[test]
+    fn a_flip_flop_data_net_rewire_patches_to_the_rebuild() {
+        let (old, new) = flip_flop_rewire();
+        let exp = Experiment::new(old.clone());
+        let width = exp.view().inputs().len();
+        let tests: Vec<BitVec> = (0u32..1 << width)
+            .map(|w| (0..width).map(|i| w >> i & 1 == 1).collect())
+            .collect();
+        let matrix = exp.simulate(&tests);
+        let new_matrix = Experiment::new(new.clone()).simulate(&tests);
+        let dir = std::env::temp_dir().join(format!("sdd-patch-dff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for seed in 0..8 {
+            let selection = sdd_core::select_baselines(
+                &matrix,
+                &sdd_core::Procedure1Options {
+                    calls1: 2,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let dictionary = SameDifferentDictionary::build(&matrix, &selection.baselines);
+            let path = dir.join(format!("dff-{seed}.sddb"));
+            sdd_store::save(&path, &StoredDictionary::SameDifferent(dictionary)).unwrap();
+            let report =
+                patch_dictionary(&old, &new, &tests, &path, &PatchOptions::default()).unwrap();
+            // The pseudo-output (o5 and it) and every fault reaching it in
+            // either circuit are dirty.
+            assert_eq!(report.dirty_outputs, 2, "seed {seed}");
+            assert_eq!(report.dirty_faults, 24, "seed {seed}");
+            let patched = load_artifact(&path).unwrap();
+            let rebuilt = SameDifferentDictionary::build(&new_matrix, patched.baseline_classes());
+            assert_eq!(patched, rebuilt, "seed {seed}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -166,3 +166,176 @@ fn generate_is_deterministic_and_parseable() {
     assert_eq!(circuit.name(), "s344");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Edits one gate line of `old_text` the way perfbench draws its ECOs: a
+/// pin fed by a net of fan-out ≥ 3 moves to another fan-out-≥ 2 primary
+/// input or flip-flop. Of those edits, the first whose text parses with
+/// every net at its old id (first mentions decide ids), so `sdd patch` can
+/// line the two netlists up.
+fn rewired_bench(old_text: &str) -> String {
+    use same_different::netlist::bench;
+    let old = bench::parse(old_text).unwrap();
+    let fanout = old.fanout_counts();
+    let sources: Vec<&str> = old
+        .inputs()
+        .iter()
+        .chain(old.dffs())
+        .filter(|net| fanout[net.index()] >= 2)
+        .map(|&net| old.net_name(net))
+        .collect();
+    let lines: Vec<&str> = old_text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let Some((target, call)) = line.split_once(" = ") else {
+            continue;
+        };
+        let (kind, args) = call.trim_end_matches(')').split_once('(').unwrap();
+        if kind == "DFF" {
+            continue;
+        }
+        let args: Vec<&str> = args.split(", ").collect();
+        for pin in 0..args.len() {
+            if fanout[old.net(args[pin]).unwrap().index()] < 3 {
+                continue;
+            }
+            for &source in sources.iter().filter(|s| !args.contains(s)) {
+                let mut edited = args.clone();
+                edited[pin] = source;
+                let edited = format!("{target} = {kind}({})", edited.join(", "));
+                let mut text_lines = lines.clone();
+                text_lines[i] = &edited;
+                let text = text_lines.join("\n") + "\n";
+                let new = bench::parse(&text).unwrap();
+                if old.nets().all(|net| old.net_name(net) == new.net_name(net)) {
+                    return text;
+                }
+            }
+        }
+    }
+    panic!("no rewire keeps the net ids");
+}
+
+#[test]
+fn patch_rewrites_a_saved_artifact_identically_for_every_jobs() {
+    let dir = workdir("patch");
+    let run = |dir: &std::path::Path, args: &[&str]| {
+        let out = sdd(dir, args);
+        assert!(
+            out.status.success(),
+            "sdd {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    run(
+        &dir,
+        &["generate", "s298", "--seed", "1", "-o", "old.bench"],
+    );
+    run(
+        &dir,
+        &["atpg", "old.bench", "--ttype", "diag", "-o", "tests.txt"],
+    );
+    run(
+        &dir,
+        &[
+            "dictionary",
+            "old.bench",
+            "--tests",
+            "tests.txt",
+            "--calls1",
+            "2",
+            "--out",
+            "dict.sddb",
+        ],
+    );
+    let old_text = std::fs::read_to_string(dir.join("old.bench")).unwrap();
+    std::fs::write(dir.join("new.bench"), rewired_bench(&old_text)).unwrap();
+    let saved = std::fs::read(dir.join("dict.sddb")).unwrap();
+
+    // The same relative paths from two directories, so stdout can match.
+    let mut outputs = Vec::new();
+    for jobs in ["1", "4"] {
+        let sub = dir.join(format!("jobs{jobs}"));
+        std::fs::create_dir_all(&sub).unwrap();
+        std::fs::write(sub.join("dict.sddb"), &saved).unwrap();
+        let out = run(
+            &sub,
+            &[
+                "patch",
+                "../old.bench",
+                "../new.bench",
+                "dict.sddb",
+                "--tests",
+                "../tests.txt",
+                "--jobs",
+                jobs,
+            ],
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        for line in [
+            "changed nets: 1 (",
+            "dirty: ",
+            "touched tests: ",
+            "indistinguished pairs: ",
+            "patched dict.sddb: ",
+        ] {
+            assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
+        }
+        let bytes = std::fs::read(sub.join("dict.sddb")).unwrap();
+        assert_ne!(bytes, saved, "the patch rewrote nothing");
+        outputs.push((stdout, bytes));
+    }
+    assert_eq!(outputs[0], outputs[1], "--jobs 1 and --jobs 4 differ");
+
+    let refused = |args: &[&str], needle: &str| {
+        let out = sdd(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("sdd: "), "{stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    };
+    // An incompatible ECO: one gate loses an input, so the fault universe
+    // changes shape.
+    let shrunk = old_text
+        .lines()
+        .map(|line| match line.split_once(" = ") {
+            Some((net, call)) if call.contains(", ") && !call.starts_with("DFF") => {
+                let (head, args) = call.split_once('(').unwrap();
+                let first = args.split(", ").next().unwrap().trim_end_matches(')');
+                format!("{net} = {head}({first})")
+            }
+            _ => line.to_owned(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    std::fs::write(dir.join("shrunk.bench"), shrunk).unwrap();
+    std::fs::write(dir.join("dict.sddb"), &saved).unwrap();
+    refused(
+        &[
+            "patch",
+            "old.bench",
+            "shrunk.bench",
+            "dict.sddb",
+            "--tests",
+            "tests.txt",
+        ],
+        "rebuild",
+    );
+    assert_eq!(std::fs::read(dir.join("dict.sddb")).unwrap(), saved);
+    // A stale artifact: the patched file describes new.bench, not old.bench.
+    let stale = dir.join("jobs1").join("dict.sddb");
+    let stale_bytes = std::fs::read(&stale).unwrap();
+    refused(
+        &[
+            "patch",
+            "old.bench",
+            "new.bench",
+            stale.to_str().unwrap(),
+            "--tests",
+            "tests.txt",
+        ],
+        "artifact disagrees with the old netlist",
+    );
+    assert_eq!(std::fs::read(&stale).unwrap(), stale_bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
