@@ -4,7 +4,7 @@
 #
 #   ./ci.sh          full gate: build, test, perfbench correctness (all three workloads),
 #                    examples, chaos, fmt, doc, clippy
-#   ./ci.sh quick    build + root-package tests only
+#   ./ci.sh quick    build + root-package and store tests only
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,6 +16,10 @@ cargo build --offline --release --workspace --all-targets
 if [ "${1:-}" = "quick" ]; then
     step "cargo test --offline -q (root package)"
     cargo test --offline -q
+    step "cargo test --offline -q -p sdd-store"
+    # The root package's tests run none of the store's unit tests, and the
+    # patch commit's tests live there.
+    cargo test --offline -q -p sdd-store
     step "quick gate passed"
     exit 0
 fi

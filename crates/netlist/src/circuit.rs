@@ -448,6 +448,58 @@ impl Circuit {
         modified.check_acyclic()?;
         Ok(modified)
     }
+
+    /// Returns a copy of the circuit with every net renumbered to the id
+    /// its name has in `reference`, and its flip-flops listed in
+    /// `reference`'s order when both circuits have the same ones — how an
+    /// edited netlist whose file lists its nets in another order (one
+    /// written by [`bench::write`](crate::bench::write), say) lines up with
+    /// the netlist it was edited from. Inputs and outputs keep this
+    /// circuit's declaration order.
+    ///
+    /// Returns `None` when the two circuits do not name the same nets.
+    pub fn renumbered_like(&self, reference: &Circuit) -> Option<Circuit> {
+        if self.net_count() != reference.net_count() {
+            return None;
+        }
+        let ids: Vec<NetId> = self
+            .names
+            .iter()
+            .map(|name| reference.net(name))
+            .collect::<Option<_>>()?;
+        let map = |nets: &[NetId]| -> Vec<NetId> { nets.iter().map(|n| ids[n.index()]).collect() };
+        let mut drivers = vec![Driver::Input; self.net_count()];
+        for (driver, id) in self.drivers.iter().zip(&ids) {
+            drivers[id.index()] = match driver {
+                Driver::Input => Driver::Input,
+                Driver::Dff { data } => Driver::Dff {
+                    data: ids[data.index()],
+                },
+                Driver::Gate { kind, inputs } => Driver::Gate {
+                    kind: *kind,
+                    inputs: map(inputs),
+                },
+            };
+        }
+        let same_flip_flops = self.dffs.len() == reference.dffs.len()
+            && self
+                .dffs
+                .iter()
+                .all(|d| matches!(reference.driver(ids[d.index()]), Driver::Dff { .. }));
+        Some(Circuit {
+            name: self.name.clone(),
+            names: reference.names.clone(),
+            drivers,
+            inputs: map(&self.inputs),
+            outputs: map(&self.outputs),
+            dffs: if same_flip_flops {
+                reference.dffs.clone()
+            } else {
+                map(&self.dffs)
+            },
+            by_name: reference.by_name.clone(),
+        })
+    }
 }
 
 /// Incremental builder for [`Circuit`], performing validation in
@@ -914,5 +966,28 @@ mod tests {
     fn netid_display() {
         assert_eq!(NetId(7).to_string(), "n7");
         assert_eq!(NetId(7).index(), 7);
+    }
+
+    #[test]
+    fn renumbering_by_name_undoes_a_reordered_file() {
+        let text = crate::library::DEMO_SEQ_BENCH;
+        let original = crate::bench::parse(text).unwrap();
+        // The flip-flop lines swapped and the gate lines reversed: first
+        // mentions, hence ids and the flip-flop order, all move.
+        let lines: Vec<&str> = text.lines().collect();
+        let (head, body) = lines.split_at(6);
+        let mut reordered = head.to_vec();
+        reordered.extend([body[1], body[0]]);
+        reordered.extend(body[2..].iter().rev());
+        let moved = crate::bench::parse(&reordered.join("\n")).unwrap();
+        let flip_flops = |c: &Circuit| -> Vec<String> {
+            c.dffs().iter().map(|&q| c.net_name(q).to_owned()).collect()
+        };
+        assert_ne!(moved, original);
+        assert_eq!(flip_flops(&moved), ["q1", "q0"]);
+        assert_eq!(moved.renumbered_like(&original), Some(original.clone()));
+        // A renamed net has no id to take.
+        let renamed = crate::bench::parse(&text.replace("c0", "c9")).unwrap();
+        assert_eq!(renamed.renumbered_like(&original), None);
     }
 }

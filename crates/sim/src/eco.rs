@@ -38,7 +38,9 @@ use crate::{Engine, OutputCones, ResponseMatrix};
 /// same input/output/flip-flop lists — because everything downstream
 /// (fault ids, test vectors, signature rows) is indexed by those ids; an
 /// ECO that renames or adds nets needs a full rebuild, and the typed error
-/// says so.
+/// says so, naming the first net the new circuit lacks. Circuits whose
+/// files number the same nets apart line up through
+/// [`Circuit::renumbered_like`] first.
 ///
 /// # Errors
 ///
@@ -51,15 +53,20 @@ pub fn changed_nets(old: &Circuit, new: &Circuit) -> Result<Vec<NetId>, SddError
             new.net_count()
         )));
     }
-    for net in old.nets() {
-        if old.net_name(net) != new.net_name(net) {
-            return Err(SddError::invalid(format!(
-                "ECO renamed net {} ({:?} -> {:?}): not patchable, rebuild the dictionary",
-                net.0,
-                old.net_name(net),
-                new.net_name(net)
-            )));
-        }
+    if let Some(apart) = old
+        .nets()
+        .find(|&net| old.net_name(net) != new.net_name(net))
+    {
+        // A name the new circuit lacks is named first: in circuits numbered
+        // apart, the first net whose name differs says nothing about the edit.
+        let lost = old.nets().find(|&net| new.net(old.net_name(net)).is_none());
+        let net = lost.unwrap_or(apart);
+        return Err(SddError::invalid(format!(
+            "ECO renamed, removed or renumbered net {:?} (id {}): not patchable, \
+             rebuild the dictionary",
+            old.net_name(net),
+            net.0
+        )));
     }
     if old.inputs() != new.inputs() || old.outputs() != new.outputs() || old.dffs() != new.dffs() {
         return Err(SddError::invalid(
@@ -626,5 +633,25 @@ mod tests {
         let smaller = b.finish().unwrap();
         let err = changed_nets(&old, &smaller).unwrap_err();
         assert!(err.to_string().contains("rebuild"), "{err}");
+        // A renamed net is named even when the two circuits number their
+        // nets apart, and a pure renumbering is refused too.
+        let mut b = CircuitBuilder::new("renamed");
+        let c = b.input("b");
+        let a = b.input("a");
+        let g2 = b.gate("g2", GateKind::Not, vec![c]);
+        let g1 = b.gate("g1x", GateKind::Not, vec![a]);
+        b.output(g1);
+        b.output(g2);
+        let err = changed_nets(&old, &b.finish().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("\"g1\""), "{err}");
+        let mut b = CircuitBuilder::new("renumbered");
+        let c = b.input("b");
+        let a = b.input("a");
+        let g1 = b.gate("g1", GateKind::Not, vec![a]);
+        let g2 = b.gate("g2", GateKind::Not, vec![c]);
+        b.output(g1);
+        b.output(g2);
+        let err = changed_nets(&old, &b.finish().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("\"a\" (id 0)"), "{err}");
     }
 }

@@ -17,7 +17,8 @@
 //!    32     8  payload length in bytes
 //!    40     8  payload checksum (FNV-1a 64 over the payload bytes)
 //!    48     4  patch generation (0 = built from scratch, incremented by
-//!              every in-place ECO patch; provenance only, never validated)
+//!              every ECO patch that rewrites the file; provenance only,
+//!              never validated)
 //!    52     4  reserved (written as 0)
 //!    56     8  header checksum (FNV-1a 64 over header bytes 0..56)
 //! ```
@@ -62,8 +63,9 @@ pub struct Header {
     /// FNV-1a 64 checksum of the payload bytes.
     pub payload_checksum: u64,
     /// Patch generation: 0 for an artifact built from scratch, incremented
-    /// by every in-place ECO patch. Provenance only — readers never gate on
-    /// it, and files written before the field existed decode as 0.
+    /// by every ECO patch that rewrites the file. Provenance only — readers
+    /// never gate on it, and files written before the field existed decode
+    /// as 0.
     pub patched: u32,
 }
 
@@ -158,6 +160,18 @@ pub const HEADER_CHECKSUM_RANGE: std::ops::Range<usize> = 56..64;
 ///
 /// [`SddError::Truncated`] when the image is shorter than a header.
 pub fn strip_patch_provenance(image: &[u8]) -> Result<Vec<u8>, SddError> {
+    let mut out = image.to_vec();
+    set_patch_generation(&mut out, 0)?;
+    Ok(out)
+}
+
+/// Records `generation` as a `.sddb` image's patch generation and
+/// recomputes its header checksum in place.
+///
+/// # Errors
+///
+/// [`SddError::Truncated`] when the image is shorter than a header.
+pub(crate) fn set_patch_generation(image: &mut [u8], generation: u32) -> Result<(), SddError> {
     if image.len() < HEADER_LEN {
         return Err(SddError::Truncated {
             context: "store header",
@@ -165,11 +179,10 @@ pub fn strip_patch_provenance(image: &[u8]) -> Result<Vec<u8>, SddError> {
             actual: image.len(),
         });
     }
-    let mut out = image.to_vec();
-    out[PATCHED_RANGE].fill(0);
-    let checksum = fnv1a64(&out[..56]);
-    out[HEADER_CHECKSUM_RANGE].copy_from_slice(&checksum.to_le_bytes());
-    Ok(out)
+    image[PATCHED_RANGE].copy_from_slice(&generation.to_le_bytes());
+    let checksum = fnv1a64(&image[..56]);
+    image[HEADER_CHECKSUM_RANGE].copy_from_slice(&checksum.to_le_bytes());
+    Ok(())
 }
 
 /// `a * b` with overflow reported as [`SddError::Invalid`] — every offset
@@ -245,13 +258,23 @@ impl<'a> Cursor<'a> {
 
     /// Reads a bit row of `bits` logical bits stored as packed words.
     pub(crate) fn bit_row(&mut self, bits: usize) -> Result<BitVec, SddError> {
-        let words = bits.div_ceil(64);
-        let raw = self.take(checked_mul(words, 8, "bit row length")?)?;
-        let words: Vec<u64> = raw
+        let words: Vec<u64> = self
+            .row_bytes(bits)?
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
         BitVec::from_words(words, bits)
+    }
+
+    /// Steps over a bit row with [`bit_row`](Self::bit_row)'s bounds check,
+    /// reading and allocating nothing.
+    pub(crate) fn skip_bit_row(&mut self, bits: usize) -> Result<(), SddError> {
+        self.row_bytes(bits).map(drop)
+    }
+
+    /// The packed words of a `bits`-bit row.
+    fn row_bytes(&mut self, bits: usize) -> Result<&'a [u8], SddError> {
+        self.take(checked_mul(bits.div_ceil(64), 8, "bit row length")?)
     }
 }
 

@@ -10,6 +10,11 @@
 //! decoding the rest of the file. Every failure mode — truncation, version
 //! skew, bit rot — surfaces as a typed [`SddError`], never a panic.
 //!
+//! Every `.sddb` image this crate writes comes from one encoder, [`encode`]:
+//! [`save`] and [`write_sharded`] build artifacts with it, and an ECO patch
+//! ([`commit_patch`]) re-encodes the patched dictionary and rewrites only
+//! the files whose bytes change.
+//!
 //! ```
 //! use sdd_core::SameDifferentDictionary;
 //! use sdd_store::{decode, encode, StoredDictionary};
@@ -48,11 +53,11 @@ use sdd_logic::SddError;
 pub use atomic::{atomic_write, is_temp, temp_sibling, AtomicFile};
 pub use format::{strip_patch_provenance, Header, HEADER_LEN, MAGIC, VERSION};
 pub use manifest::{
-    is_manifest, slice_dictionary, write_sharded, ShardManifest, ShardRecord, ShardedReader,
+    slice_dictionary, write_sharded, ShardManifest, ShardRecord, ShardedReader,
     MANIFEST_HEADER_LEN, MANIFEST_MAGIC, MANIFEST_VERSION,
 };
 pub use mmap::{mmap_supported, read_dictionary_bytes, DictBytes, MappedFile, MmapMode};
-pub use patch::{patch_artifact, patch_file, patch_sharded, PatchStats, SdColumnPatch};
+pub use patch::{commit_patch, PatchStats};
 pub use reader::SddbReader;
 pub use verify::{
     quarantine_bad_shards, verify_file, verify_file_with, ShardHealth, VerifyReport,
@@ -130,6 +135,15 @@ impl StoredDictionary {
             Self::PassFail(d) => d.fault_count(),
             Self::SameDifferent(d) => d.fault_count(),
             Self::Full(d) => d.fault_count(),
+        }
+    }
+
+    /// Number of observed outputs `m`.
+    pub fn output_count(&self) -> usize {
+        match self {
+            Self::PassFail(d) => d.sizes().outputs as usize,
+            Self::SameDifferent(d) => d.sizes().outputs as usize,
+            Self::Full(d) => d.matrix().output_count(),
         }
     }
 

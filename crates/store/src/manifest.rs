@@ -60,8 +60,8 @@ pub const MANIFEST_HEADER_LEN: usize = 64;
 
 /// True when `bytes` starts with the manifest magic — the sniff
 /// [`ShardedReader::open_with`] routes whole files and shard sets by.
-pub fn is_manifest(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[0..4] == MANIFEST_MAGIC
+fn is_manifest(bytes: &[u8]) -> bool {
+    bytes.starts_with(&MANIFEST_MAGIC)
 }
 
 /// One shard's entry in a [`ShardManifest`].
@@ -401,11 +401,7 @@ pub fn write_sharded(
     cones: Option<&[BitVec]>,
 ) -> Result<ShardManifest, SddError> {
     let manifest_path = manifest_path.as_ref();
-    let outputs = match dictionary {
-        StoredDictionary::PassFail(d) => d.sizes().outputs as usize,
-        StoredDictionary::SameDifferent(d) => d.sizes().outputs as usize,
-        StoredDictionary::Full(d) => d.matrix().output_count(),
-    };
+    let outputs = dictionary.output_count();
     if let Some(cones) = cones {
         if cones.len() != ranges.len() {
             return Err(SddError::CountMismatch {
@@ -525,7 +521,8 @@ impl ShardedReader {
     /// file instead of copying it to the heap.
     ///
     /// * A `.sddm` manifest is decoded and validated; no shard is read.
-    /// * A whole `.sddb` is validated (header, length and payload checksum)
+    /// * A whole `.sddb` is validated (header, length, payload checksum and
+    ///   [`SddbReader::validate_structure`]'s allocation-free bounds walk)
     ///   but not decoded. It opens as one record covering faults `0..n`,
     ///   with the header's payload length and checksum and no recorded
     ///   cone: the record carries the all-ones cone, and
@@ -536,10 +533,14 @@ impl ShardedReader {
     ///   is kept for [`take_parsed`](Self::take_parsed). Later loads read
     ///   the text unmapped: its parse is heap data in every mode.
     ///
+    /// So a whole file that opens is a sound file, and `sdd verify`
+    /// ([`crate::verify_file_with`]) needs no other check of it.
+    ///
     /// # Errors
     ///
     /// [`SddError::Io`] when the file cannot be read, plus every
-    /// [`ShardManifest::decode`], [`SddbReader::open`] or text parse error.
+    /// [`ShardManifest::decode`], [`SddbReader::open`],
+    /// [`SddbReader::validate_structure`] or text parse error.
     pub fn open_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<Self, SddError> {
         let path = path.as_ref();
         let bytes = read_dictionary_bytes(path, mode)?;
@@ -559,8 +560,9 @@ impl ShardedReader {
             .ok_or_else(|| SddError::invalid(format!("{}: no UTF-8 file name", path.display())))?
             .to_owned();
         let (layout, header, parsed) = if crate::is_binary(&bytes) {
-            let header = *SddbReader::open(&bytes[..])?.header();
-            (Layout::Binary, header, None)
+            let reader = SddbReader::open(&bytes[..])?;
+            reader.validate_structure()?;
+            (Layout::Binary, *reader.header(), None)
         } else {
             let d = crate::parse_text(&bytes)?;
             let header = format::Header {
@@ -631,6 +633,11 @@ impl ShardedReader {
         self.layout != Layout::Manifest
     }
 
+    /// True when the set is one whole v1 text file.
+    pub(crate) fn is_text(&self) -> bool {
+        self.layout == Layout::Text
+    }
+
     /// The recorded output cone of the shard owning global fault `fault`;
     /// `None` for a whole file, which records no cone, and past the last
     /// fault.
@@ -667,10 +674,9 @@ impl ShardedReader {
 
     /// [`load_shard`](Self::load_shard), but also hands back the verified
     /// byte image the decode ran over — under a mapped mode, the live
-    /// mapping a serving registry keeps so later re-decodes fault pages
-    /// back in from the page cache instead of re-reading the file. The
-    /// image and the decoded dictionary are views of the same validated
-    /// bytes.
+    /// mapping a serving registry keeps beside the decoded shard to report
+    /// its mapped bytes. The image and the decoded dictionary are views of
+    /// the same validated bytes.
     ///
     /// # Errors
     ///
@@ -700,7 +706,7 @@ impl ShardedReader {
 
     /// Verifies `.sddb` shard `index` end to end — read or map, header +
     /// payload checksum, manifest cross-checks, full structural walk —
-    /// without decoding it into the heap: peak memory is one row. This is
+    /// without decoding it into the heap or allocating per row. This is
     /// the `sdd verify` path for dictionaries larger than RAM.
     ///
     /// # Errors
@@ -723,7 +729,7 @@ impl ShardedReader {
     /// Opens `.sddb` shard `index` and cross-checks it against its record
     /// (payload length and checksum, dictionary kind, test/output counts,
     /// fault count).
-    fn shard_reader(&self, index: usize) -> Result<SddbReader<DictBytes>, SddError> {
+    pub(crate) fn shard_reader(&self, index: usize) -> Result<SddbReader<DictBytes>, SddError> {
         let record = self.record(index)?;
         let path = self.dir.join(&record.file);
         let bytes = read_dictionary_bytes(&path, self.mode)?;

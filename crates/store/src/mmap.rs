@@ -15,10 +15,11 @@
 //! cross-checked against the real file length ([`read_dictionary_bytes`]).
 //! A truncated file therefore surfaces as the same typed
 //! [`SddError::Truncated`] the owned path returns — never a signal. The
-//! mapping retains its [`File`] handle so long-lived holders can
-//! [`revalidate`](DictBytes::revalidate) against in-place truncation
-//! before touching pages again; rename-replace is always safe (the old
-//! inode stays alive under the map).
+//! file's descriptor is closed as soon as it is mapped (a mapping outlives
+//! it), so a resident mapping holds no descriptor. Rename-replace is always
+//! safe: the old inode stays alive under the map. A file truncated in
+//! place under a live mapping is not caught here; every cold load maps its
+//! file afresh behind the guard, and a decoded image is not read again.
 //!
 //! Like [`crate::format`]'s sibling in the serve layer (`src/reactor.rs`),
 //! this is the **only** module in the crate allowed to contain `unsafe`
@@ -30,7 +31,6 @@
 //! a `Vec` instead, so every caller stays portable.
 #![allow(unsafe_code)]
 
-use std::fs::File;
 use std::ops::Deref;
 use std::path::Path;
 
@@ -145,17 +145,11 @@ mod sys {
 }
 
 /// A whole dictionary file mapped read-only into the address space — made
-/// only by [`read_dictionary_bytes`], after its SIGBUS guard.
-///
-/// The open [`File`] handle is retained so
-/// [`still_intact`](Self::still_intact) can fstat the *mapped inode* — a
-/// file truncated in place shrinks under the map (touching the lost tail
-/// would SIGBUS), while a rename-replace leaves the old inode full-length
-/// and safe.
+/// only by [`read_dictionary_bytes`], after its SIGBUS guard. It keeps no
+/// file descriptor.
 #[derive(Debug)]
 pub struct MappedFile {
     map: DebugMapping,
-    file: File,
     len: usize,
 }
 
@@ -182,34 +176,6 @@ impl MappedFile {
     /// True when the mapping is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Re-checks the *mapped inode's* current length against the mapping.
-    /// A long-lived holder (a serve registry entry) calls this before
-    /// walking pages it has not touched recently: if the file was
-    /// truncated in place since mapping, the lost tail would SIGBUS, so
-    /// the typed [`SddError::Truncated`] here is the honest, recoverable
-    /// version of that crash. Rename-replaced files pass — the old inode
-    /// is still full-length underneath this map.
-    ///
-    /// # Errors
-    ///
-    /// [`SddError::Truncated`] when the inode shrank below the mapped
-    /// length; [`SddError::Io`] when it cannot be statted.
-    pub fn still_intact(&self) -> Result<(), SddError> {
-        let now = self
-            .file
-            .metadata()
-            .map_err(|e| SddError::io("fstat mapped file", &e))?
-            .len();
-        if now < self.len as u64 {
-            return Err(SddError::Truncated {
-                context: "mapped file",
-                expected: self.len,
-                actual: usize::try_from(now).unwrap_or(usize::MAX),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -306,19 +272,6 @@ impl DictBytes {
             Self::Mapped(_) => "mapped",
         }
     }
-
-    /// Re-checks that deferred page reads are still safe: owned bytes
-    /// always are; mapped bytes defer to [`MappedFile::still_intact`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MappedFile::still_intact`].
-    pub fn revalidate(&self) -> Result<(), SddError> {
-        match self {
-            Self::Owned(_) => Ok(()),
-            Self::Mapped(map) => map.still_intact(),
-        }
-    }
 }
 
 impl AsRef<[u8]> for DictBytes {
@@ -386,7 +339,6 @@ fn map_validated(path: &Path) -> Result<DictBytes, SddError> {
         .map_err(|e| SddError::io(path.display().to_string(), &e))?;
     Ok(DictBytes::Mapped(MappedFile {
         map: DebugMapping(map),
-        file,
         len: file_len,
     }))
 }
@@ -422,51 +374,16 @@ mod tests {
         assert!(!owned.is_mapped());
         assert_eq!(owned.mode(), "owned");
         assert_eq!(owned.as_slice(), &payload[..]);
-        owned.revalidate().unwrap();
         if mmap_supported() {
             let mapped = read_dictionary_bytes(&path, MmapMode::On).unwrap();
             assert!(mapped.is_mapped());
             assert_eq!(mapped.mode(), "mapped");
             assert_eq!(mapped.as_slice(), owned.as_slice());
             assert_eq!(mapped.len(), payload.len());
-            mapped.revalidate().unwrap();
         }
         let auto = read_dictionary_bytes(&path, MmapMode::Auto).unwrap();
         assert_eq!(auto.is_mapped(), mmap_supported());
         assert_eq!(auto.as_slice(), &payload[..]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn in_place_truncation_is_detected_by_revalidate() {
-        if !mmap_supported() {
-            return;
-        }
-        let dir = scratch("shrink");
-        let path = dir.join("blob.bin");
-        std::fs::write(&path, vec![0xAB; 8192]).unwrap();
-        let mapped = read_dictionary_bytes(&path, MmapMode::On).unwrap();
-        mapped.revalidate().unwrap();
-        // Shrink the inode under the live map: the typed error replaces
-        // what would otherwise be a SIGBUS on the lost tail.
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(16)
-            .unwrap();
-        assert!(matches!(
-            mapped.revalidate(),
-            Err(SddError::Truncated {
-                context: "mapped file",
-                expected: 8192,
-                actual: 16,
-            })
-        ));
-        // Rename-replace keeps the mapped inode intact: still valid.
-        std::fs::write(&path, vec![0xCD; 8192]).unwrap();
-        let fresh = read_dictionary_bytes(&path, MmapMode::On).unwrap();
-        fresh.revalidate().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -248,10 +248,11 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
 
     /// Walks the payload's entire structure — every index entry, row, and
     /// table — with the same bounds checks as
-    /// [`dictionary`](Self::dictionary), but materializes at most one row
-    /// at a time. This is how `sdd verify` proves a mapped multi-gigabyte
-    /// file sound with O(row) heap instead of decoding it: peak memory is
-    /// one bit row, not the dictionary.
+    /// [`dictionary`](Self::dictionary), but materializes no row. This is
+    /// how `sdd verify` and the artifact opener
+    /// ([`ShardedReader::open_with`](crate::ShardedReader::open_with)) prove
+    /// a mapped multi-gigabyte file sound without decoding it: the walk
+    /// allocates nothing proportional to the file.
     ///
     /// # Errors
     ///
@@ -267,7 +268,7 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
                     cursor.u32()?;
                 }
                 for _ in 0..h.tests {
-                    cursor.bit_row(h.outputs)?;
+                    cursor.skip_bit_row(h.outputs)?;
                 }
                 self.walk_signature_rows()
             }
@@ -281,7 +282,7 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
                 let class_bytes = checked_mul(class_entries, 4, "response class matrix")?;
                 let mut cursor = Cursor::new(self.payload(), "fault-free responses");
                 for _ in 0..h.tests {
-                    cursor.bit_row(h.outputs)?;
+                    cursor.skip_bit_row(h.outputs)?;
                 }
                 let mut cursor = Cursor::new(self.payload(), "response class matrix");
                 cursor.seek(good_bytes);
@@ -314,7 +315,7 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
     }
 
     /// Bounds-walks every signature row through the row index without
-    /// keeping any of them.
+    /// reading any of them.
     fn walk_signature_rows(&self) -> Result<(), SddError> {
         let index_start = self.row_index_start()?;
         let mut index = Cursor::new(self.payload(), "signature row index");
@@ -324,7 +325,7 @@ impl<B: AsRef<[u8]>> SddbReader<B> {
             let offset = self.offset(index.u64()?)?;
             let mut row = Cursor::new(self.payload(), "signature row");
             row.seek(offset);
-            row.bit_row(self.header.tests)?;
+            row.skip_bit_row(self.header.tests)?;
         }
         Ok(())
     }

@@ -17,8 +17,8 @@ use std::path::{Path, PathBuf};
 use sdd_logic::SddError;
 
 use crate::atomic::temp_sibling;
-use crate::mmap::{read_dictionary_bytes, MmapMode};
-use crate::{DictionaryKind, SddbReader, ShardedReader};
+use crate::mmap::MmapMode;
+use crate::{DictionaryKind, ShardedReader};
 
 /// Suffix appended to a shard file when [`quarantine_bad_shards`] moves it
 /// out of the serving path.
@@ -87,11 +87,13 @@ impl VerifyReport {
 ///
 /// * `.sddm` manifest: the manifest itself must decode (its own checksums
 ///   gate that); every shard is then read, cross-checked against the
-///   manifest record (payload length + checksum, dimensions), and fully
-///   decoded. Per-shard failures land in the report, not in `Err` — a
-///   half-rotten set is a *degraded* artifact, not an unreadable one.
-/// * whole `.sddb` (or v1 text): the file must decode end to end; any
-///   corruption is the returned error.
+///   manifest record (payload length + checksum, dimensions), checksummed
+///   and structure-walked. Per-shard failures land in the report, not in
+///   `Err` — a half-rotten set is a *degraded* artifact, not an unreadable
+///   one.
+/// * whole `.sddb` (or v1 text): the file must be checksummed and
+///   structure-walked (or parse) end to end; any corruption is the
+///   returned error.
 ///
 /// # Errors
 ///
@@ -101,20 +103,24 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<VerifyReport, SddError> {
     verify_file_with(path, MmapMode::Auto)
 }
 
-/// [`verify_file`] with an explicit byte-ownership mode. Under a mapped
-/// mode (the [`MmapMode::Auto`] default on Linux) binary artifacts are
-/// never buffered *or* decoded: the payload is checksummed straight out of
-/// the page cache and its structure bounds-walked one row at a time
-/// ([`SddbReader::validate_structure`]), so peak heap is one row and a
-/// dictionary larger than RAM verifies fine. The typed error for each
-/// corruption mode is identical in every mode.
+/// [`verify_file`] with an explicit byte-ownership mode. The artifact opens
+/// through [`ShardedReader::open_with`], which reads it once: opening a
+/// whole file verifies it, and a manifest's shards are then read one at a
+/// time. Under a mapped mode (the [`MmapMode::Auto`] default on Linux)
+/// binary files are never buffered *or* decoded: the payload is
+/// checksummed straight out of the page cache and its structure
+/// bounds-walked without allocating
+/// ([`crate::SddbReader::validate_structure`]), so a dictionary larger
+/// than RAM verifies fine. The typed error for each corruption mode is
+/// identical in every mode.
 ///
 /// # Errors
 ///
 /// As [`verify_file`].
 pub fn verify_file_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<VerifyReport, SddError> {
     let path = path.as_ref();
-    let bytes = read_dictionary_bytes(path, mode)?;
+    let reader = ShardedReader::open_with(path, mode)?;
+    let manifest = reader.manifest();
     let mut stale_temps = Vec::new();
     let mut note_temp = |candidate: PathBuf| {
         if candidate.exists() {
@@ -122,10 +128,8 @@ pub fn verify_file_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<Verify
         }
     };
     note_temp(temp_sibling(path));
-    if crate::is_manifest(&bytes) {
-        let reader = ShardedReader::open_with(path, mode)?;
-        let manifest = reader.manifest();
-        let mut shards = Vec::with_capacity(manifest.shards.len());
+    let mut shards = Vec::new();
+    if !reader.is_whole() {
         for (index, record) in manifest.shards.iter().enumerate() {
             let shard_path = reader.dir().join(&record.file);
             note_temp(temp_sibling(&shard_path));
@@ -137,29 +141,12 @@ pub fn verify_file_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<Verify
                 error: reader.check_shard(index).err(),
             });
         }
-        return Ok(VerifyReport {
-            path: path.to_path_buf(),
-            kind: manifest.kind,
-            faults: manifest.faults,
-            shards,
-            stale_temps,
-        });
     }
-    let (kind, faults) = if crate::is_binary(&bytes) {
-        // Checksum + structural walk, never a full decode: verification
-        // heap stays O(one row) however large the file is.
-        let reader = SddbReader::open(&bytes)?;
-        reader.validate_structure()?;
-        (reader.kind(), reader.faults())
-    } else {
-        let dictionary = crate::read_same_different_auto(&bytes)?;
-        (DictionaryKind::SameDifferent, dictionary.fault_count())
-    };
     Ok(VerifyReport {
         path: path.to_path_buf(),
-        kind,
-        faults,
-        shards: Vec::new(),
+        kind: manifest.kind,
+        faults: manifest.faults,
+        shards,
         stale_temps,
     })
 }
@@ -282,6 +269,24 @@ mod tests {
             verify_file(&path),
             Err(SddError::ChecksumMismatch { .. })
         ));
+        // A row index entry pointing past the payload, under valid
+        // checksums, is caught by the opener's structure walk.
+        let mut bytes = crate::encode(&fixture()).unwrap();
+        let first_index_entry = crate::HEADER_LEN..crate::HEADER_LEN + 8;
+        bytes[first_index_entry].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut header = crate::Header::decode(&bytes).unwrap();
+        header.payload_checksum = crate::format::fnv1a64(&bytes[crate::HEADER_LEN..]);
+        bytes[..crate::HEADER_LEN].copy_from_slice(&header.encode());
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in [MmapMode::Off, MmapMode::Auto] {
+            assert!(matches!(
+                verify_file_with(&path, mode),
+                Err(SddError::Truncated {
+                    context: "signature row",
+                    ..
+                })
+            ));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

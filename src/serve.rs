@@ -305,8 +305,8 @@ impl Registry {
     /// A `LOAD` starts every slot cold, so a shard damaged on disk cannot
     /// hide behind a warm copy. A `RELOAD` (`reload`) carries over every
     /// slot whose record is unchanged (same file name, checksum, and fault
-    /// range): after an in-place patch, only the rewritten shards — or the
-    /// rewritten whole file — go cold. A v1 text file carries no checksum,
+    /// range): after a patch, only the rewritten shards — or the rewritten
+    /// whole file — go cold. A v1 text file carries no checksum,
     /// so opening it parsed it; that parse becomes its resident shard.
     fn install(
         &self,

@@ -286,6 +286,40 @@ fn patch_rewrites_a_saved_artifact_identically_for_every_jobs() {
     }
     assert_eq!(outputs[0], outputs[1], "--jobs 1 and --jobs 4 differ");
 
+    // The same edit written back by `bench::write`, which lists nets in id
+    // order and so moves most first mentions, patches to the same bytes.
+    use same_different::netlist::bench;
+    let new_text = std::fs::read_to_string(dir.join("new.bench")).unwrap();
+    let written = bench::write(&bench::parse(&new_text).unwrap());
+    assert_ne!(
+        bench::parse(&written).unwrap(),
+        bench::parse(&new_text).unwrap(),
+        "the round trip moved no net id"
+    );
+    std::fs::write(dir.join("written.bench"), written).unwrap();
+    let sub = dir.join("written");
+    std::fs::create_dir_all(&sub).unwrap();
+    std::fs::write(sub.join("dict.sddb"), &saved).unwrap();
+    let out = run(
+        &sub,
+        &[
+            "patch",
+            "../old.bench",
+            "../written.bench",
+            "dict.sddb",
+            "--tests",
+            "../tests.txt",
+        ],
+    );
+    let written = (
+        String::from_utf8(out.stdout).unwrap(),
+        std::fs::read(sub.join("dict.sddb")).unwrap(),
+    );
+    assert_eq!(
+        written, outputs[0],
+        "a bench::write netlist patches otherwise"
+    );
+
     let refused = |args: &[&str], needle: &str| {
         let out = sdd(&dir, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -337,5 +371,33 @@ fn patch_rewrites_a_saved_artifact_identically_for_every_jobs() {
         "artifact disagrees with the old netlist",
     );
     assert_eq!(std::fs::read(&stale).unwrap(), stale_bytes);
+    // A v1 text artifact: the store writes only .sddb, so it is refused
+    // before any write.
+    run(
+        &dir,
+        &[
+            "dictionary",
+            "old.bench",
+            "--tests",
+            "tests.txt",
+            "--calls1",
+            "2",
+            "--out",
+            "dict.txt",
+        ],
+    );
+    let text = std::fs::read(dir.join("dict.txt")).unwrap();
+    refused(
+        &[
+            "patch",
+            "old.bench",
+            "new.bench",
+            "dict.txt",
+            "--tests",
+            "tests.txt",
+        ],
+        "v1 text dictionary",
+    );
+    assert_eq!(std::fs::read(dir.join("dict.txt")).unwrap(), text);
     let _ = std::fs::remove_dir_all(&dir);
 }
