@@ -116,6 +116,12 @@ impl SameDifferentDictionary {
         })
     }
 
+    /// The inverse of [`from_parts`](Self::from_parts): the signatures,
+    /// baseline vectors and baseline classes, moved out rather than copied.
+    pub fn into_parts(self) -> (Vec<BitVec>, Vec<BitVec>, Vec<u32>) {
+        (self.signatures, self.baselines, self.baseline_classes)
+    }
+
     /// Builds the degenerate dictionary whose baselines are all the
     /// fault-free responses — bit-identical to a pass/fail dictionary.
     pub fn with_fault_free_baselines(matrix: &ResponseMatrix) -> Self {

@@ -604,9 +604,9 @@ fn cmd_patch(args: &[String]) -> Result<(), String> {
         println!(
             "patched {artifact}: {} tests, {} signature bits, {} baselines, \
              {}/{} files rewritten, generation {}",
-            stats.tests_patched,
-            stats.bits_flipped,
-            stats.baseline_changes,
+            report.touched_tests,
+            report.bits_flipped,
+            report.baseline_changes,
             stats.files_rewritten,
             stats.files_total,
             stats.generation,
