@@ -4,7 +4,7 @@
 #
 #   ./ci.sh          full gate: build, test, perfbench correctness (all three workloads),
 #                    examples, chaos, fmt, doc, clippy
-#   ./ci.sh quick    build + root-package and store tests only
+#   ./ci.sh quick    build + root-package, store and sim tests only
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +20,10 @@ if [ "${1:-}" = "quick" ]; then
     # The root package's tests run none of the store's unit tests, and the
     # patch commit's tests live there.
     cargo test --offline -q -p sdd-store
+    step "cargo test --offline -q -p sdd-sim"
+    # Nor does it run the simulation driver's unit tests: the reference
+    # oracle for every jobs count and the ECO pass's worker split.
+    cargo test --offline -q -p sdd-sim
     step "quick gate passed"
     exit 0
 fi

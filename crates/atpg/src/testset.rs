@@ -27,10 +27,6 @@ pub struct AtpgOptions {
     pub attempts_per_deficit: usize,
     /// Run reverse-order compaction on the final set.
     pub compact: bool,
-    /// When PODEM aborts at its backtrack limit, fall back to the complete
-    /// SAT engine: the fault either gets a test or a redundancy proof, and
-    /// the `aborted` list stays empty wherever SAT is affordable.
-    pub sat_fallback: bool,
 }
 
 impl Default for AtpgOptions {
@@ -42,7 +38,6 @@ impl Default for AtpgOptions {
             stale_random_blocks: 2,
             attempts_per_deficit: 3,
             compact: true,
-            sat_fallback: true,
         }
     }
 }
@@ -55,7 +50,7 @@ pub struct GeneratedTestSet {
     /// Faults proven untestable (redundant) by PODEM or the SAT fallback.
     pub untestable: Vec<FaultId>,
     /// Faults abandoned with no test found: PODEM reached its backtrack
-    /// limit and the SAT fallback is off or exhausted its conflict budget.
+    /// limit and the SAT fallback exhausted its conflict budget.
     pub aborted: Vec<FaultId>,
 }
 
@@ -185,19 +180,18 @@ pub fn generate_detection(
         match gave_up {
             Some(false) => untestable.push(fault_id),
             Some(true) if produced == 0 && deficit[pos] == n => {
-                // PODEM ran out of budget with nothing to show. The SAT
-                // engine usually settles the fault in milliseconds; it runs
-                // with its own (generous) conflict budget so a pathological
+                // PODEM ran out of budget with nothing to show, so the
+                // complete SAT engine settles the fault: a test or a
+                // redundancy proof, usually in milliseconds. It runs with
+                // its own (generous) conflict budget so a pathological
                 // miter cannot stall the whole flow.
-                let settled = options.sat_fallback.then(|| {
-                    crate::sat::generate_sat_bounded(
-                        circuit,
-                        view,
-                        fault,
-                        Some((options.backtrack_limit * 8).max(20_000)),
-                    )
-                });
-                match settled.flatten() {
+                let settled = crate::sat::generate_sat_bounded(
+                    circuit,
+                    view,
+                    fault,
+                    Some((options.backtrack_limit * 8).max(20_000)),
+                );
+                match settled {
                     Some(crate::sat::SatOutcome::Test(test)) => {
                         if !seen.contains(&test) && !pending.contains(&test) {
                             pending.push(test);
@@ -504,7 +498,6 @@ mod tests {
         let opts = AtpgOptions {
             backtrack_limit: 0,
             max_random_blocks: 0, // force the deterministic phase to work
-            sat_fallback: true,
             ..AtpgOptions::default()
         };
         let set = generate_detection(&c, &view, &universe, faults, 1, &opts);

@@ -159,7 +159,6 @@ pub fn run_row(circuit: &str, ttype: TestSetType, config: &Table6Config) -> Opti
             calls1: config.calls1,
             seed: config.seed,
             jobs: config.jobs,
-            ..Procedure1Options::default()
         },
     );
     let indist_sd_rand = selection.indistinguished_pairs;

@@ -33,6 +33,12 @@ use sdd_sim::{Partition, ResponseMatrix};
 
 use crate::Budget;
 
+/// Hard cap on Procedure 1 calls per selection, guarding pathological
+/// cases. Reaching it ends the search as the stale rule does, with the
+/// selection complete; a caller that wants a tighter cap passes a
+/// [`Budget`].
+const MAX_CALLS: usize = 5_000;
+
 /// Knobs for [`select_baselines`]. Defaults are the paper's experimental
 /// settings: `LOWER = 10`, `CALLS_1 = 100`, and serial evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +50,6 @@ pub struct Procedure1Options {
     /// Stop restarting after this many consecutive non-improving calls
     /// (the paper's `CALLS_1`).
     pub calls1: usize,
-    /// Hard cap on total calls, guarding pathological cases.
-    pub max_calls: usize,
     /// Seed for the random test orders.
     pub seed: u64,
     /// Worker threads evaluating restarts concurrently. The result is
@@ -60,7 +64,6 @@ impl Default for Procedure1Options {
         Self {
             lower: Some(10),
             calls1: 100,
-            max_calls: 5_000,
             seed: 1,
             jobs: 1,
         }
@@ -392,8 +395,8 @@ pub fn select_baselines_budgeted(
     // restart-index order applying exactly the serial stopping rule, so a
     // wave's speculative tail (evaluated after the rule would have stopped)
     // is discarded and the outcome is independent of `jobs`.
-    'search: while stale < options.calls1 && calls < options.max_calls && best_pairs > bound {
-        let wave = jobs.min(options.max_calls - calls);
+    'search: while stale < options.calls1 && calls < MAX_CALLS && best_pairs > bound {
+        let wave = jobs.min(MAX_CALLS - calls);
         let results = evaluate_wave(matrix, options, budget, start, calls, wave, &mut scratches);
         for result in results {
             let Some((baselines, pairs)) = result else {
@@ -408,7 +411,7 @@ pub fn select_baselines_budgeted(
             } else {
                 stale += 1;
             }
-            if stale >= options.calls1 || calls >= options.max_calls || best_pairs <= bound {
+            if stale >= options.calls1 || calls >= MAX_CALLS || best_pairs <= bound {
                 break 'search;
             }
         }

@@ -19,17 +19,21 @@
 //! putting that pseudo-output in any changed net's cone, so every output
 //! position whose observed net differs is dirty too.
 //!
-//! [`EcoDelta::lockstep`] then runs the dirty faults through both circuits
-//! in one pass ([`EcoPass`]): which tests the edit touched, and the
-//! old-circuit facts an artifact cross-check needs, come out of word
-//! operations on the two engines' output-diff words, and only the touched
-//! columns are ever interned ([`EcoPass::touched_columns`]).
+//! [`EcoDelta::lockstep`] then patches in one pass over the 64-test blocks
+//! ([`EcoPass`]). Per block, the dirty faults run through both circuits:
+//! which tests the edit touched, and the old-circuit facts an artifact
+//! cross-check needs, come out of word operations on the two engines'
+//! output-diff words. A block that holds a touched test then runs the clean
+//! faults once on the new circuit, and every fault's touched columns are
+//! interned on the spot ([`EcoPass::columns`]); no diff word outlives its
+//! block.
 
 use sdd_fault::{FaultId, FaultUniverse};
 use sdd_logic::{BitVec, PatternBlock, SddError, LANES};
 use sdd_netlist::{Circuit, CombView, NetId};
 
-use crate::response::{set_lanes, ClassTable, MIN_CHUNK_FAULTS};
+use crate::parallel::{fan_out, worker_chunks};
+use crate::response::{set_lanes, ClassTable};
 use crate::{Engine, OutputCones, ResponseMatrix};
 
 /// The nets whose drivers differ between two interface-identical circuits.
@@ -200,24 +204,29 @@ impl EcoDelta {
     }
 
     /// Runs every dirty fault through both circuits in lockstep, one
-    /// 64-test block at a time, and returns what the edit touched.
+    /// 64-test block at a time, and interns the new circuit's columns of
+    /// the tests the edit touched.
     ///
-    /// Per block, an old-circuit and a new-circuit [`Engine`] load the same
-    /// patterns and each dirty fault runs on both. A test is *touched* when
-    /// its fault-free response or any dirty fault's diff set moved: the OR
-    /// of `old_good ^ new_good` over the outputs, plus the OR of each dirty
-    /// fault's old and new diff words. Alongside, each dirty fault's
-    /// old-circuit response is compared with `baselines` (the stored
-    /// baseline vector of every test, `m` bits each) as the OR over the
-    /// outputs of `old_good ^ old_diff ^ baseline`, giving
-    /// [`EcoPass::differs`]. No column is interned here; the dirty faults'
-    /// new diff words are kept for [`EcoPass::touched_columns`].
+    /// Per block, each worker of the dirty phase loads the block into an
+    /// old-circuit and a new-circuit [`Engine`] and runs its dirty faults
+    /// on both. A test is *touched* when its fault-free response or any
+    /// dirty fault's diff set moved: the OR of `old_good ^ new_good` over
+    /// the outputs, plus the OR of each dirty fault's old and new diff
+    /// words. Alongside, each dirty fault's old-circuit response is
+    /// compared with `baselines` (the stored baseline vector of every test,
+    /// `m` bits each) as the OR over the outputs of
+    /// `old_good ^ old_diff ^ baseline`, giving [`EcoPass::differs`]. When
+    /// the block holds a touched test, the clean faults run once on
+    /// new-circuit engines, and every fault's touched columns are interned
+    /// in fault order ([`EcoPass::columns`]).
     ///
-    /// The dirty faults are split into contiguous chunks, one engine pair
-    /// per worker (at most `jobs`); touched masks are OR-ed and rows are
-    /// stored by fault position, so the result is the same for every
-    /// `jobs`. The pass runs even with no dirty fault: the fault-free
-    /// responses alone can move a baseline vector.
+    /// Each phase cuts its faults into contiguous chunks, one per worker
+    /// (at most `jobs`, and at most one per 32 faults); a worker of both
+    /// phases runs its clean faults on the new-circuit engine that already
+    /// holds the block. Touched lanes are OR-ed, rows are stored by fault
+    /// position and columns interned in fault order, so the pass is the
+    /// same for every `jobs`. It runs even with no dirty fault: the
+    /// fault-free responses alone can move a baseline vector.
     ///
     /// # Panics
     ///
@@ -233,36 +242,63 @@ impl EcoDelta {
         assert_eq!(baselines.len(), tests.len(), "one baseline per test");
         let width = eco.old_view.inputs().len();
         let outputs = eco.old_view.outputs().len();
-        let blocks = PatternBlock::blocks(width, tests);
-        let baseline_blocks = PatternBlock::blocks(outputs, baselines);
-        let chunks = in_chunks(&self.dirty_faults, jobs, |chunk| {
-            lockstep_chunk(eco, chunk, &blocks, &baseline_blocks)
-        });
-        let mut touched_lanes = vec![0u64; blocks.len()];
-        let mut new_good = Vec::new();
-        let mut differs = Vec::with_capacity(self.dirty_faults.len());
-        let mut new_diffs = Vec::with_capacity(self.dirty_faults.len() * blocks.len());
-        for chunk in chunks {
-            for (all, lanes) in touched_lanes.iter_mut().zip(&chunk.touched_lanes) {
-                *all |= lanes;
+        let mut dirty = self.dirty_faults.iter().copied().peekable();
+        let clean: Vec<usize> = (0..eco.faults.len())
+            .filter(|&fault| dirty.next_if_eq(&fault).is_none())
+            .collect();
+        let dirty_chunks = worker_chunks(&self.dirty_faults, jobs);
+        let clean_chunks = worker_chunks(&clean, jobs);
+        let mut workers: Vec<Worker> = (0..dirty_chunks.len().max(clean_chunks.len()))
+            .map(|w| Worker {
+                dirty: dirty_chunks
+                    .get(w)
+                    .map(|&chunk| (chunk, Engine::new(eco.old, eco.old_view))),
+                clean: clean_chunks.get(w).copied().unwrap_or_default(),
+                new: Engine::new(eco.new, eco.new_view),
+            })
+            .collect();
+
+        // Per dirty fault: one word per block.
+        let mut differs = vec![Vec::new(); self.dirty_faults.len()];
+        let mut touched = Vec::new();
+        let mut good = Vec::new();
+        let mut table = ClassTable::new(eco.faults.len(), 0);
+        let blocks = tests.chunks(LANES).zip(baselines.chunks(LANES));
+        for (b, (patterns, baseline)) in blocks.enumerate() {
+            let block = PatternBlock::from_patterns(width, patterns);
+            let baseline = PatternBlock::from_patterns(outputs, baseline);
+            let dirty_runs = fan_out(&mut workers[..dirty_chunks.len()], |worker| {
+                worker.run_dirty(eco, &block, &baseline)
+            });
+            let words = dirty_runs.iter().flat_map(|run| &run.differs);
+            for (row, &word) in differs.iter_mut().zip(words) {
+                row.push(word);
             }
-            // Every chunk saw the same fault-free responses.
-            if new_good.is_empty() {
-                new_good = chunk.new_good;
+            let lanes = dirty_runs.iter().fold(0, |acc, run| acc | run.touched);
+            if lanes == 0 {
+                continue;
             }
-            differs.extend((0..chunk.faults).map(|local| {
-                let words = &chunk.differs[local * blocks.len()..(local + 1) * blocks.len()];
-                BitVec::from_words(words.to_vec(), tests.len()).expect("one word per block")
-            }));
-            new_diffs.extend(chunk.new_diffs);
+            touched.extend(set_lanes(lanes).map(|lane| b * LANES + lane));
+            good.extend(set_lanes(lanes).map(|lane| workers[0].new.good_response(lane)));
+            let clean_runs = fan_out(&mut workers[..clean_chunks.len()], |worker| {
+                worker.run_clean(eco, &block)
+            });
+            let mut by_fault: Vec<&[(u32, u64)]> = vec![&[]; eco.faults.len()];
+            let runs = (self.dirty_faults.iter())
+                .zip(dirty_runs.iter().flat_map(|run| &run.new_diffs))
+                .chain(clean.iter().zip(clean_runs.iter().flatten()));
+            for (&fault, diffs) in runs {
+                by_fault[fault] = diffs;
+            }
+            table.push_block(lanes, by_fault);
         }
         EcoPass {
-            dirty: self.dirty_faults.clone(),
-            test_count: tests.len(),
-            touched_lanes,
-            new_good,
-            differs,
-            new_diffs,
+            touched,
+            differs: differs
+                .into_iter()
+                .map(|words| BitVec::from_words(words, tests.len()).expect("one word per block"))
+                .collect(),
+            columns: table.into_matrix(good, outputs),
         }
     }
 }
@@ -289,29 +325,16 @@ pub struct EcoCircuits<'a> {
 /// What one [`EcoDelta::lockstep`] pass found.
 #[derive(Debug, Clone)]
 pub struct EcoPass {
-    /// Dirty fault positions, ascending (the delta's).
-    dirty: Vec<usize>,
-    test_count: usize,
-    /// Per 64-test block: the touched lanes.
-    touched_lanes: Vec<u64>,
-    /// `[block * m + output]`: the new circuit's fault-free output words.
-    new_good: Vec<u64>,
-    /// Per dirty fault: bit `t` set when its old response under test `t`
-    /// differs from the stored baseline vector of `t`.
+    touched: Vec<usize>,
     differs: Vec<BitVec>,
-    /// `[dirty fault * blocks + block]`: the new circuit's output-diff words.
-    new_diffs: Vec<Vec<(u32, u64)>>,
+    columns: ResponseMatrix,
 }
 
 impl EcoPass {
     /// The touched tests, ascending: those whose fault-free response or
     /// some dirty fault's diff set differs between the two circuits.
-    pub fn touched(&self) -> Vec<usize> {
-        self.touched_lanes
-            .iter()
-            .enumerate()
-            .flat_map(|(block, &lanes)| set_lanes(lanes).map(move |lane| block * LANES + lane))
-            .collect()
+    pub fn touched(&self) -> &[usize] {
+        &self.touched
     }
 
     /// For the `i`-th dirty fault (position `i` in
@@ -324,149 +347,98 @@ impl EcoPass {
 
     /// The new circuit's response classes of every fault under the touched
     /// tests, in ascending test order: exactly the matrix
-    /// [`ResponseMatrix::simulate`] gives for `eco.new` over the touched
-    /// patterns, so the columns are the ones a full rebuild would write.
-    ///
-    /// Dirty faults take the new diff words the pass kept; each clean fault
-    /// gets one new-circuit run, only over blocks that hold touched tests
-    /// (contiguous chunks of clean faults, one engine per worker, at most
-    /// `jobs`). Every column is then interned once, in fault order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eco` or `tests` are not the ones the pass ran on.
-    pub fn touched_columns(
-        &self,
-        eco: &EcoCircuits<'_>,
-        tests: &[BitVec],
-        jobs: usize,
-    ) -> ResponseMatrix {
-        assert_eq!(tests.len(), self.test_count, "the pass's test set");
-        let (width, outputs) = (eco.new_view.inputs().len(), eco.new_view.outputs().len());
-        let block_count = self.touched_lanes.len();
-        let touched_blocks: Vec<usize> = (0..block_count)
-            .filter(|&b| self.touched_lanes[b] != 0)
-            .collect();
-        let patterns: Vec<PatternBlock> = touched_blocks
-            .iter()
-            .map(|&b| {
-                let end = tests.len().min((b + 1) * LANES);
-                PatternBlock::from_patterns(width, &tests[b * LANES..end])
-            })
-            .collect();
-        let mut dirty = self.dirty.iter().copied().peekable();
-        let clean: Vec<usize> = (0..eco.faults.len())
-            .filter(|&fault| dirty.next_if_eq(&fault).is_none())
-            .collect();
-        // `[clean fault * touched blocks + touched block]`.
-        let clean_diffs: Vec<Vec<(u32, u64)>> = in_chunks(&clean, jobs, |chunk| {
-            let mut engine = Engine::new(eco.new, eco.new_view);
-            let mut diffs = vec![Vec::new(); chunk.len() * patterns.len()];
-            for (t, block) in patterns.iter().enumerate() {
-                engine.load_block(block);
-                for (local, &fault) in chunk.iter().enumerate() {
-                    diffs[local * patterns.len() + t] = engine
-                        .run_fault(eco.universe.fault(eco.faults[fault]))
-                        .output_diffs;
-                }
-            }
-            diffs
-        })
-        .concat();
-
-        let columns = touched_blocks
-            .iter()
-            .map(|&b| self.touched_lanes[b].count_ones() as usize)
-            .sum();
-        let mut table = ClassTable::new(columns, eco.faults.len());
-        let mut good = Vec::with_capacity(columns);
-        for (t, &b) in touched_blocks.iter().enumerate() {
-            let lanes = self.touched_lanes[b];
-            let first_test = good.len();
-            let words = &self.new_good[b * outputs..(b + 1) * outputs];
-            good.extend(set_lanes(lanes).map(|lane| {
-                words
-                    .iter()
-                    .map(|word| word >> lane & 1 == 1)
-                    .collect::<BitVec>()
-            }));
-            let (mut d, mut c) = (0, 0);
-            for fault in 0..eco.faults.len() {
-                let diffs = if self.dirty.get(d) == Some(&fault) {
-                    d += 1;
-                    &self.new_diffs[(d - 1) * block_count + b]
-                } else {
-                    c += 1;
-                    &clean_diffs[(c - 1) * patterns.len() + t]
-                };
-                table.record_lanes(fault, diffs, lanes, first_test);
-            }
-        }
-        table.into_matrix(good, outputs)
+    /// [`ResponseMatrix::simulate`] gives for the new circuit over the
+    /// touched patterns, so the columns are the ones a full rebuild would
+    /// write.
+    pub fn columns(&self) -> &ResponseMatrix {
+        &self.columns
     }
 }
 
-/// One worker's share of [`EcoDelta::lockstep`], laid out as [`EcoPass`]
-/// lays out the whole.
-struct ChunkPass {
-    faults: usize,
-    touched_lanes: Vec<u64>,
-    new_good: Vec<u64>,
-    /// `[local fault * blocks + block]`.
+/// One worker of [`EcoDelta::lockstep`]: a new-circuit engine for its
+/// clean faults and, for a worker of the dirty phase, its dirty faults with
+/// an old-circuit engine. Both engines live across the blocks.
+struct Worker<'a> {
+    /// `Some` for the workers of the dirty phase; the chunk is empty when
+    /// there is no dirty fault, and the worker still compares the
+    /// fault-free responses.
+    dirty: Option<(&'a [usize], Engine<'a>)>,
+    clean: &'a [usize],
+    new: Engine<'a>,
+}
+
+/// What one worker's dirty faults gave under one block.
+struct DirtyRun {
+    /// The lanes the worker saw touched.
+    touched: u64,
+    /// Per dirty fault of the chunk: the lanes where its old response
+    /// differs from the baseline.
     differs: Vec<u64>,
-    /// `[local fault * blocks + block]`.
+    /// Per dirty fault of the chunk: its new-circuit output-diff words.
     new_diffs: Vec<Vec<(u32, u64)>>,
 }
 
-/// Runs the dirty faults at positions `chunk` through both circuits over
-/// every block (see [`EcoDelta::lockstep`]).
-fn lockstep_chunk(
-    eco: &EcoCircuits<'_>,
-    chunk: &[usize],
-    blocks: &[PatternBlock],
-    baselines: &[PatternBlock],
-) -> ChunkPass {
-    let mut old_engine = Engine::new(eco.old, eco.old_view);
-    let mut new_engine = Engine::new(eco.new, eco.new_view);
-    let outputs = eco.old_view.outputs().len();
-    let nb = blocks.len();
-    let mut pass = ChunkPass {
-        faults: chunk.len(),
-        touched_lanes: vec![0; nb],
-        new_good: vec![0; nb * outputs],
-        differs: vec![0; chunk.len() * nb],
-        new_diffs: vec![Vec::new(); chunk.len() * nb],
-    };
-    // `(output, old_good ^ baseline)` where nonzero: a fault's old
-    // response differs from the baseline where this XOR its diff words is
-    // nonzero.
-    let mut off_baseline: Vec<(u32, u64)> = Vec::new();
-    for (b, (block, baseline)) in blocks.iter().zip(baselines).enumerate() {
-        old_engine.load_block(block);
-        new_engine.load_block(block);
+impl Worker<'_> {
+    /// Loads `block` into both engines and runs the dirty chunk on both
+    /// (see [`EcoDelta::lockstep`]); `baseline` holds the block's stored
+    /// baseline vectors, one lane per test.
+    fn run_dirty(
+        &mut self,
+        eco: &EcoCircuits<'_>,
+        block: &PatternBlock,
+        baseline: &PatternBlock,
+    ) -> DirtyRun {
+        let (chunk, old) = self.dirty.as_mut().expect("a worker of the dirty phase");
+        let new = &mut self.new;
+        old.load_block(block);
+        new.load_block(block);
         let lanes = block.lane_mask();
-        off_baseline.clear();
+        let mut touched = 0;
+        // `(output, old_good ^ baseline)` where nonzero: a fault's old
+        // response differs from the baseline where this XOR its diff words
+        // is nonzero.
+        let mut off_baseline: Vec<(u32, u64)> = Vec::new();
         let observed = eco.old_view.outputs().iter().zip(eco.new_view.outputs());
         for (o, (&old_net, &new_net)) in observed.enumerate() {
-            let (old_good, new_good) =
-                (old_engine.good_word(old_net), new_engine.good_word(new_net));
-            pass.touched_lanes[b] |= (old_good ^ new_good) & lanes;
-            pass.new_good[b * outputs + o] = new_good;
+            let old_good = old.good_word(old_net);
+            touched |= (old_good ^ new.good_word(new_net)) & lanes;
             let off = (old_good ^ baseline.input_word(o)) & lanes;
             if off != 0 {
                 off_baseline.push((o as u32, off));
             }
         }
-        for (local, &position) in chunk.iter().enumerate() {
+        let mut differs = Vec::with_capacity(chunk.len());
+        let mut new_diffs = Vec::with_capacity(chunk.len());
+        for &position in chunk.iter() {
             let fault = eco.universe.fault(eco.faults[position]);
-            let old_effect = old_engine.run_fault(fault);
-            let new_effect = new_engine.run_fault(fault);
-            pass.touched_lanes[b] |= xor_any(&old_effect.output_diffs, &new_effect.output_diffs);
-            pass.differs[local * nb + b] = xor_any(&off_baseline, &old_effect.output_diffs);
-            pass.new_diffs[local * nb + b] = new_effect.output_diffs;
+            let old_effect = old.run_fault(fault);
+            let new_effect = new.run_fault(fault);
+            touched |= xor_any(&old_effect.output_diffs, &new_effect.output_diffs);
+            differs.push(xor_any(&off_baseline, &old_effect.output_diffs));
+            new_diffs.push(new_effect.output_diffs);
+        }
+        DirtyRun {
+            touched,
+            differs,
+            new_diffs,
         }
     }
-    pass
+
+    /// Runs the clean chunk on the new circuit under `block`, loading the
+    /// block first unless the dirty phase already did.
+    fn run_clean(&mut self, eco: &EcoCircuits<'_>, block: &PatternBlock) -> Vec<Vec<(u32, u64)>> {
+        if self.dirty.is_none() {
+            self.new.load_block(block);
+        }
+        self.clean
+            .iter()
+            .map(|&position| {
+                self.new
+                    .run_fault(eco.universe.fault(eco.faults[position]))
+                    .output_diffs
+            })
+            .collect()
+    }
 }
 
 /// The OR over all outputs of `a ^ b`, for two sparse, ascending
@@ -492,32 +464,6 @@ fn xor_any(a: &[(u32, u64)], b: &[(u32, u64)]) -> u64 {
         .iter()
         .chain(&b[j..])
         .fold(any, |acc, &(_, word)| acc | word)
-}
-
-/// Runs `work` over contiguous chunks of `items` — one worker thread per
-/// chunk, at most `jobs`, none smaller than [`MIN_CHUNK_FAULTS`] unless it
-/// is the only one — and returns the results in chunk order. There is
-/// always at least one chunk, so an empty `items` still runs `work` once.
-fn in_chunks<T: Send>(items: &[usize], jobs: usize, work: impl Fn(&[usize]) -> T + Sync) -> Vec<T> {
-    let count = jobs.min(items.len().div_ceil(MIN_CHUNK_FAULTS)).max(1);
-    if count == 1 {
-        return vec![work(items)];
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .chunks(items.len().div_ceil(count))
-            .map(|chunk| scope.spawn(move || work(chunk)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| {
-                worker
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
-            })
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -598,6 +544,73 @@ mod tests {
                 [a, c, g1, g2].contains(&net),
                 "fault {id}"
             );
+        }
+    }
+
+    /// `chains` independent inverter pairs, `a{i} -> n{i} -> o{i}`.
+    fn inverter_chains(chains: usize) -> Circuit {
+        let mut b = CircuitBuilder::new("chains");
+        for i in 0..chains {
+            let a = b.input(&format!("a{i}"));
+            let n = b.gate(&format!("n{i}"), GateKind::Not, vec![a]);
+            let o = b.gate(&format!("o{i}"), GateKind::Not, vec![n]);
+            b.output(o);
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_cone_local_eco_runs_its_clean_faults_on_every_worker() {
+        // `n0` becomes a buffer: two dirty faults, one dirty chunk, while
+        // the 98 clean faults make four chunks at jobs 4, so three workers
+        // load each touched block for their clean faults alone.
+        let old = inverter_chains(50);
+        let n0 = old.net("n0").unwrap();
+        let new = old
+            .with_driver(
+                n0,
+                Driver::Gate {
+                    kind: GateKind::Buf,
+                    inputs: old.driver(n0).fanin().to_vec(),
+                },
+            )
+            .unwrap();
+        let universe = FaultUniverse::enumerate(&old);
+        let collapsed = universe.collapse_on(&old);
+        let faults = collapsed.representatives();
+        let delta = EcoDelta::compute(&old, &new, &universe, faults).unwrap();
+        let clean: Vec<usize> = (0..faults.len())
+            .filter(|f| !delta.dirty_faults().contains(f))
+            .collect();
+        assert_eq!(worker_chunks(delta.dirty_faults(), 4).len(), 1);
+        assert_eq!(worker_chunks(&clean, 4).len(), 4);
+
+        let (old_view, new_view) = (CombView::new(&old), CombView::new(&new));
+        let eco = EcoCircuits {
+            old: &old,
+            old_view: &old_view,
+            new: &new,
+            new_view: &new_view,
+            universe: &universe,
+            faults,
+        };
+        let mut rng = sdd_logic::Prng::seed_from_u64(3);
+        let tests: Vec<BitVec> = (0..130)
+            .map(|_| (0..50).map(|_| rng.gen_bool(0.5)).collect())
+            .collect();
+        let baselines = vec![BitVec::zeros(50); tests.len()];
+        let serial = delta.lockstep(&eco, &tests, &baselines, 1);
+        // `o0` flips under every test.
+        assert_eq!(serial.touched(), (0..tests.len()).collect::<Vec<_>>());
+        assert_eq!(
+            *serial.columns(),
+            ResponseMatrix::simulate(&new, &new_view, &universe, faults, &tests)
+        );
+        let parallel = delta.lockstep(&eco, &tests, &baselines, 4);
+        assert_eq!(parallel.touched(), serial.touched());
+        assert_eq!(parallel.columns(), serial.columns());
+        for i in 0..delta.dirty_faults().len() {
+            assert_eq!(parallel.differs(i), serial.differs(i));
         }
     }
 

@@ -2,25 +2,13 @@
 //! fault dictionaries are built from.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use sdd_fault::{FaultId, FaultUniverse};
 use sdd_logic::{BitVec, PatternBlock, LANES};
 use sdd_netlist::{Circuit, CombView};
 
+use crate::parallel::{fan_out, worker_chunks};
 use crate::Engine;
-
-/// Smallest fault chunk worth shipping to a worker thread: below this the
-/// per-chunk fixed costs (a fresh [`Engine`], a redundant fault-free pass
-/// per pattern block, the label remap on merge) rival the fault simulation
-/// itself.
-pub(crate) const MIN_CHUNK_FAULTS: usize = 32;
-
-/// Chunks per worker. More than one lets fast workers steal the slack of
-/// slow chunks (fault cost varies wildly with cone size) without shrinking
-/// chunks so far the fixed costs dominate.
-const CHUNKS_PER_JOB: usize = 4;
 
 /// For every test and every fault, *which* output vector the faulty circuit
 /// produces — encoded as a small per-test class label rather than the vector
@@ -64,7 +52,8 @@ pub struct ResponseMatrix {
 
 impl ResponseMatrix {
     /// Fault-simulates `faults` (given as ids into `universe`) against
-    /// `tests` and builds the class matrix.
+    /// `tests` and builds the class matrix: [`simulate_jobs`](Self::simulate_jobs)
+    /// on one thread.
     ///
     /// # Panics
     ///
@@ -76,42 +65,19 @@ impl ResponseMatrix {
         faults: &[FaultId],
         tests: &[BitVec],
     ) -> Self {
-        let width = view.inputs().len();
-        let mut table = ClassTable::new(tests.len(), faults.len());
-        let mut good = Vec::with_capacity(tests.len());
-        let mut engine = Engine::new(circuit, view);
-        for (block_index, chunk) in tests.chunks(LANES).enumerate() {
-            let block = PatternBlock::from_patterns(width, chunk);
-            engine.load_block(&block);
-            for lane in 0..chunk.len() {
-                good.push(engine.good_response(lane));
-            }
-            for (fault_pos, &fault_id) in faults.iter().enumerate() {
-                let effect = engine.run_fault(universe.fault(fault_id));
-                table.record_lanes(
-                    fault_pos,
-                    &effect.output_diffs,
-                    block.lane_mask(),
-                    block_index * LANES,
-                );
-            }
-        }
-        table.into_matrix(good, view.outputs().len())
+        Self::simulate_jobs(circuit, view, universe, faults, tests, 1)
     }
 
-    /// [`simulate`](Self::simulate) fanned out over `jobs` worker threads.
+    /// Fault-simulates `faults` against `tests` on at most `jobs` worker
+    /// threads and builds the class matrix.
     ///
-    /// The fault list is split into contiguous chunks; each worker owns a
-    /// private [`Engine`] (and its pattern-block scratch) and simulates whole
-    /// chunks, pulling the next chunk index from a shared counter. Chunk
-    /// results are then merged **in fault order**, re-interning each test's
-    /// distinct output vectors in the order the serial scan would first meet
-    /// them — so the result is identical (`==`, and byte-identical once
-    /// stored) to the serial matrix for any `jobs`, and scheduling order
-    /// cannot leak into class labels.
-    ///
-    /// `jobs == 1`, an empty fault list, or a fault list too small to cover
-    /// two chunks all fall back to the serial path.
+    /// The fault list is cut into contiguous chunks, one per worker (at
+    /// most one per 32 faults), and each worker keeps one [`Engine`] across
+    /// the 64-test blocks. Per block every worker loads the block and runs
+    /// its chunk; the block's columns are then interned in fault order,
+    /// the order of a serial scan. Class labels therefore never depend on
+    /// scheduling, and the matrix is identical (`==`, and byte-identical
+    /// once stored) for every `jobs`.
     ///
     /// # Panics
     ///
@@ -143,63 +109,26 @@ impl ResponseMatrix {
         tests: &[BitVec],
         jobs: usize,
     ) -> Self {
-        let jobs = jobs.max(1);
-        let chunk = faults
-            .len()
-            .div_ceil(jobs * CHUNKS_PER_JOB)
-            .max(MIN_CHUNK_FAULTS);
-        if jobs == 1 || faults.len() <= chunk {
-            return Self::simulate(circuit, view, universe, faults, tests);
+        let width = view.inputs().len();
+        let mut table = ClassTable::new(faults.len(), tests.len());
+        let mut good = Vec::with_capacity(tests.len());
+        let mut workers: Vec<_> = worker_chunks(faults, jobs)
+            .into_iter()
+            .map(|chunk| (Engine::new(circuit, view), chunk))
+            .collect();
+        for patterns in tests.chunks(LANES) {
+            let block = PatternBlock::from_patterns(width, patterns);
+            let diffs = fan_out(&mut workers, |(engine, chunk)| {
+                engine.load_block(&block);
+                chunk
+                    .iter()
+                    .map(|&id| engine.run_fault(universe.fault(id)).output_diffs)
+                    .collect::<Vec<_>>()
+            });
+            good.extend((0..patterns.len()).map(|lane| workers[0].0.good_response(lane)));
+            table.push_block(block.lane_mask(), diffs.iter().flatten().map(Vec::as_slice));
         }
-
-        let chunks: Vec<&[FaultId]> = faults.chunks(chunk).collect();
-        let next = AtomicUsize::new(0);
-        let parts: Mutex<Vec<(usize, Self)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(chunks.len()) {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk_faults) = chunks.get(index) else {
-                        break;
-                    };
-                    let part = Self::simulate(circuit, view, universe, chunk_faults, tests);
-                    parts.lock().expect("chunk result lock").push((index, part));
-                });
-            }
-        });
-        let mut parts = parts.into_inner().expect("chunk result lock");
-        parts.sort_unstable_by_key(|&(index, _)| index);
-        let parts = parts.into_iter().map(|(_, part)| part).collect();
-        Self::merge_fault_chunks(parts, view, tests.len())
-    }
-
-    /// Concatenates per-chunk matrices (contiguous fault ranges of one fault
-    /// list, same tests, in fault order) back into one matrix, re-interning
-    /// class labels per test in chunk-then-fault order — exactly the
-    /// first-occurrence order of the serial scan.
-    fn merge_fault_chunks(parts: Vec<Self>, view: &CombView, tests: usize) -> Self {
-        let fault_count = parts.iter().map(|part| part.fault_count).sum();
-        let mut table = ClassTable::new(tests, fault_count);
-        let mut remap: Vec<u32> = Vec::new();
-        let mut offset = 0;
-        for part in &parts {
-            debug_assert_eq!(part.test_count(), tests, "chunks share one test set");
-            for test in 0..tests {
-                remap.clear();
-                remap.push(0); // class 0 is fault-free in every chunk
-                for diffs in &part.distinct[test][1..] {
-                    remap.push(table.intern(test, diffs));
-                }
-                for (fault, &label) in part.classes(test).iter().enumerate() {
-                    table.set(test, offset + fault, remap[label as usize]);
-                }
-            }
-            offset += part.fault_count;
-        }
-        // Every chunk simulated the same fault-free responses; keep the
-        // first copy.
-        let good = parts.into_iter().next().map(|part| part.good);
-        table.into_matrix(good.unwrap_or_default(), view.outputs().len())
+        table.into_matrix(good, view.outputs().len())
     }
 
     /// Builds a matrix from explicit responses instead of simulation: one
@@ -233,21 +162,22 @@ impl ResponseMatrix {
         assert_eq!(good.len(), responses.len(), "one response row per test");
         let fault_count = responses.first().map_or(0, Vec::len);
         let output_count = good.first().map_or(0, BitVec::len);
-        let mut table = ClassTable::new(good.len(), fault_count);
-        let mut diff: Vec<u32> = Vec::new();
+        let mut table = ClassTable::new(fault_count, good.len());
         for (test, row) in responses.iter().enumerate() {
             assert_eq!(row.len(), fault_count, "ragged fault row in test {test}");
-            for (fault, response) in row.iter().enumerate() {
-                assert_eq!(response.len(), output_count, "response width mismatch");
-                diff.clear();
-                diff.extend(
+            // Each test is a block of one lane: an output differs in lane 0
+            // where the fault's response leaves the fault-free one.
+            let diffs: Vec<Vec<(u32, u64)>> = row
+                .iter()
+                .map(|response| {
+                    assert_eq!(response.len(), output_count, "response width mismatch");
                     (0..output_count)
                         .filter(|&o| response.bit(o) != good[test].bit(o))
-                        .map(|o| o as u32),
-                );
-                let label = table.intern(test, &diff);
-                table.set(test, fault, label);
-            }
+                        .map(|o| (o as u32, 1))
+                        .collect()
+                })
+                .collect();
+            table.push_block(1, diffs.iter().map(Vec::as_slice));
         }
         table.into_matrix(good, output_count)
     }
@@ -416,51 +346,62 @@ impl ResponseMatrix {
 }
 
 /// The one response-class interner behind every [`ResponseMatrix`]
-/// constructor: a class matrix under construction, numbering each test's
-/// distinct diff lists (sorted flipped-output positions) by first
-/// appearance, with class 0 the empty list. A lookup borrows its diff list;
-/// only a new class copies it.
+/// constructor and the ECO pass's columns: a class matrix under
+/// construction, appended block by block, numbering each test's distinct
+/// diff lists (sorted flipped-output positions) by first appearance, with
+/// class 0 the empty list. Each diff list is held once, as its map key; a
+/// lookup borrows it, and only a new class copies it.
 pub(crate) struct ClassTable {
     fault_count: usize,
     /// Row-major `class[test * fault_count + fault]`, as in the matrix.
     class: Vec<u32>,
-    /// Per test: class id → diff list.
-    distinct: Vec<Vec<Vec<u32>>>,
-    /// Per test: diff list → class id.
+    /// Per test: non-empty diff list → class id, numbered from 1 in order
+    /// of first appearance.
     index: Vec<HashMap<Vec<u32>, u32>>,
-    /// Per-lane diff-list scratch for [`record_lanes`](Self::record_lanes).
+    /// Per-lane diff-list scratch for [`push_block`](Self::push_block).
     lane_diffs: Vec<Vec<u32>>,
 }
 
 impl ClassTable {
-    /// An empty table of `tests` columns over `fault_count` faults, every
-    /// entry class 0.
-    pub(crate) fn new(tests: usize, fault_count: usize) -> Self {
+    /// An empty table over `fault_count` faults, with room for `tests`
+    /// columns.
+    pub(crate) fn new(fault_count: usize, tests: usize) -> Self {
         Self {
             fault_count,
-            class: vec![0; tests * fault_count],
-            distinct: vec![vec![Vec::new()]; tests],
-            index: (0..tests).map(|_| HashMap::new()).collect(),
-            lane_diffs: (0..LANES).map(|_| Vec::new()).collect(),
+            class: Vec::with_capacity(tests * fault_count),
+            index: Vec::with_capacity(tests),
+            lane_diffs: vec![Vec::new(); LANES],
         }
     }
 
-    /// The class of `diffs` under `test`, numbering it on first appearance.
-    fn intern(&mut self, test: usize, diffs: &[u32]) -> u32 {
-        intern(&mut self.index[test], &mut self.distinct[test], diffs)
+    /// Appends one column per set lane of `lanes` — the `i`-th set lane,
+    /// counting up from lane 0, is the `i`-th new column — and interns every
+    /// fault's class there. `diffs` holds each fault's output-diff words in
+    /// fault order, in the [`FaultEffect::output_diffs`](crate::FaultEffect)
+    /// form: ascending output positions, bit `p` set when the output
+    /// differs under lane `p`. A lane without a difference is class 0.
+    pub(crate) fn push_block<'d>(
+        &mut self,
+        lanes: u64,
+        diffs: impl IntoIterator<Item = &'d [(u32, u64)]>,
+    ) {
+        let first_test = self.index.len();
+        let columns = lanes.count_ones() as usize;
+        self.class
+            .resize(self.class.len() + columns * self.fault_count, 0);
+        self.index.resize_with(first_test + columns, HashMap::new);
+        let mut faults = 0;
+        for (fault, output_diffs) in diffs.into_iter().enumerate() {
+            self.record_lanes(fault, output_diffs, lanes, first_test);
+            faults += 1;
+        }
+        debug_assert_eq!(faults, self.fault_count, "one diff list per fault");
     }
 
-    /// Sets `fault`'s class under `test`.
-    fn set(&mut self, test: usize, fault: usize, class: u32) {
-        self.class[test * self.fault_count + fault] = class;
-    }
-
-    /// Records `fault`'s class in every lane of `lanes` from its output-diff
-    /// words (the [`FaultEffect::output_diffs`](crate::FaultEffect) form: ascending
-    /// output positions, bit `p` set when the output differs under lane
-    /// `p`). The `i`-th set lane of `lanes`, counting up from lane 0, is test
-    /// `first_test + i`; lanes without a difference stay class 0.
-    pub(crate) fn record_lanes(
+    /// Records `fault`'s class in every lane of `lanes` (see
+    /// [`push_block`](Self::push_block)), the first lane being column
+    /// `first_test`.
+    fn record_lanes(
         &mut self,
         fault: usize,
         output_diffs: &[(u32, u64)],
@@ -478,41 +419,44 @@ impl ClassTable {
         }
         for lane in set_lanes(detected) {
             let test = first_test + (lanes & ((1u64 << lane) - 1)).count_ones() as usize;
-            let label = intern(
-                &mut self.index[test],
-                &mut self.distinct[test],
-                &self.lane_diffs[lane],
-            );
+            let index = &mut self.index[test];
+            let diffs = &self.lane_diffs[lane];
+            let label = match index.get(diffs) {
+                Some(&class) => class,
+                None => {
+                    let class = index.len() as u32 + 1;
+                    index.insert(diffs.clone(), class);
+                    class
+                }
+            };
             self.class[test * self.fault_count + fault] = label;
         }
     }
 
-    /// The finished matrix, given each test's fault-free response.
+    /// The finished matrix, given each column's fault-free response. Each
+    /// test's distinct-vector table is built from its map, the keys moved
+    /// into place by class id.
     pub(crate) fn into_matrix(self, good: Vec<BitVec>, output_count: usize) -> ResponseMatrix {
-        debug_assert_eq!(good.len(), self.distinct.len(), "one response per test");
+        debug_assert_eq!(good.len(), self.index.len(), "one response per test");
+        let distinct = self
+            .index
+            .into_iter()
+            .map(|index| {
+                let mut distinct = vec![Vec::new(); index.len() + 1];
+                for (diffs, class) in index {
+                    distinct[class as usize] = diffs;
+                }
+                distinct
+            })
+            .collect();
         ResponseMatrix {
             fault_count: self.fault_count,
             output_count,
             class: self.class,
-            distinct: self.distinct,
+            distinct,
             good,
         }
     }
-}
-
-/// One test's interning step: the class of `diffs`, appended to `distinct`
-/// on first appearance. The empty list is class 0.
-fn intern(index: &mut HashMap<Vec<u32>, u32>, distinct: &mut Vec<Vec<u32>>, diffs: &[u32]) -> u32 {
-    if diffs.is_empty() {
-        return 0;
-    }
-    if let Some(&class) = index.get(diffs) {
-        return class;
-    }
-    let class = distinct.len() as u32;
-    distinct.push(diffs.to_vec());
-    index.insert(diffs.to_vec(), class);
-    class
 }
 
 /// The set lanes of `word`, lowest first.
@@ -716,9 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_simulation_equals_serial_for_any_jobs() {
-        // s298 has enough collapsed faults to split into several chunks, so
-        // the merge path (not the small-work fallback) is what's tested.
+    fn simulation_equals_the_reference_oracle_for_any_jobs() {
+        // 130 tests on s298 make three blocks, the last one partial. Its
+        // collapsed faults split into chunks at jobs 2 and 3, and jobs 16
+        // asks for more workers than one per 32 faults allows.
         let c = generator_circuit();
         let view = CombView::new(&c);
         let universe = FaultUniverse::enumerate(&c);
@@ -726,14 +671,41 @@ mod tests {
         let ids = collapsed.representatives();
         let width = view.inputs().len();
         let mut rng = sdd_logic::Prng::seed_from_u64(7);
-        let patterns: Vec<BitVec> = (0..70)
+        let patterns: Vec<BitVec> = (0..130)
             .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
             .collect();
-        let serial = ResponseMatrix::simulate(&c, &view, &universe, ids, &patterns);
-        for jobs in [2, 3, 4, 16] {
-            let parallel =
-                ResponseMatrix::simulate_jobs(&c, &view, &universe, ids, &patterns, jobs);
-            assert_eq!(serial, parallel, "jobs = {jobs}");
+        // The scalar reference's responses, numbered by `from_responses`
+        // as the driver numbers classes: first appearance in fault order.
+        let oracle = |faults: &[FaultId]| {
+            let good = patterns
+                .iter()
+                .map(|test| reference::good_response(&c, &view, test))
+                .collect();
+            let responses: Vec<Vec<BitVec>> = patterns
+                .iter()
+                .map(|test| {
+                    faults
+                        .iter()
+                        .map(|&id| reference::faulty_response(&c, &view, universe.fault(id), test))
+                        .collect()
+                })
+                .collect();
+            ResponseMatrix::from_responses(good, &responses)
+        };
+        let expected = oracle(ids);
+        let no_faults = oracle(&[]);
+        for jobs in [1, 2, 3, 16] {
+            let simulate = |faults: &[FaultId], tests: &[BitVec]| {
+                ResponseMatrix::simulate_jobs(&c, &view, &universe, faults, tests, jobs)
+            };
+            assert_eq!(simulate(ids, &patterns), expected, "jobs = {jobs}");
+            assert_eq!(simulate(&[], &patterns), no_faults, "jobs = {jobs}");
+            let no_tests = simulate(ids, &[]);
+            assert_eq!(
+                (no_tests.test_count(), no_tests.fault_count()),
+                (0, ids.len())
+            );
+            assert_eq!(no_tests.output_count(), view.outputs().len());
         }
     }
 

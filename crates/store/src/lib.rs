@@ -323,15 +323,45 @@ fn parse_text(bytes: &[u8]) -> Result<SameDifferentDictionary, SddError> {
     sdd_core::io::read_same_different(text).map_err(SddError::from)
 }
 
-/// Loads a same/different dictionary from a file in either format
-/// (see [`read_same_different_auto`]).
+/// Loads a same/different dictionary from any artifact: a whole `.sddb`, a
+/// v1 text file, or a `.sddm` shard set, whose shards are reassembled in
+/// global fault order. Every artifact opens through [`ShardedReader::open`].
 ///
 /// # Errors
 ///
-/// [`SddError::Io`] when the file cannot be read, otherwise as
-/// [`read_same_different_auto`].
+/// [`SddError::Io`] when a file cannot be read, [`SddError::Invalid`] when
+/// the artifact holds another dictionary kind, otherwise the opener's and
+/// the shard loads' typed errors.
 pub fn load_same_different(path: impl AsRef<Path>) -> Result<SameDifferentDictionary, SddError> {
-    read_same_different_auto(read_dictionary_file(path)?)
+    let mut reader = ShardedReader::open(path)?;
+    let manifest = reader.manifest();
+    if manifest.kind != DictionaryKind::SameDifferent {
+        return Err(SddError::invalid(format!(
+            "expected a same-different dictionary, found a {} dictionary",
+            manifest.kind.name()
+        )));
+    }
+    let outputs = manifest.outputs;
+    let mut parsed = reader.take_parsed();
+    let mut load =
+        |index: usize| match parsed.take().map_or_else(|| reader.load_shard(index), Ok)? {
+            StoredDictionary::SameDifferent(shard) => Ok(shard),
+            _ => Err(SddError::invalid(format!(
+                "shard {index}: kind disagrees with the manifest"
+            ))),
+        };
+    // One shard is the dictionary itself: no reassembly.
+    let first = load(0)?;
+    if reader.shard_count() == 1 {
+        return Ok(first);
+    }
+    // Each shard's rows are moved, not copied, so one copy of the
+    // signatures is live however many shards there are.
+    let (mut signatures, baselines, classes) = first.into_parts();
+    for index in 1..reader.shard_count() {
+        signatures.extend(load(index)?.into_parts().0);
+    }
+    SameDifferentDictionary::from_parts(signatures, baselines, classes, outputs)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!                [--shards K] [--out dict.txt|dict.sddb|dict.sddm]
 //! sdd build ...                                         alias of `dictionary`
 //! sdd inject <file.bench> --tests tests.txt [--fault K|random] [--seed N] [-o obs.txt]
-//! sdd diagnose <file.bench> --tests tests.txt --dict dict.txt|dict.sddb --observed obs.txt
+//! sdd diagnose <file.bench> --tests tests.txt --dict dict.txt|dict.sddb|dict.sddm --observed obs.txt
 //! sdd patch <old.bench> <new.bench> <dict.sddb|dict.sddm> --tests tests.txt
 //!           [--jobs N] [--budget-passes N] [--budget-ms MS]
 //! sdd verify <dict.sddb|dict.sddm> [--quarantine] [--mmap auto|on|off]
@@ -39,8 +39,9 @@
 //! files hold one output response per line (primary outputs then flip-flop
 //! pseudo-outputs), in test order.
 //!
-//! Dictionary files are accepted in both formats everywhere, sniffed by
-//! magic number: the diffable v1 text format and the binary `.sddb` store.
+//! Dictionary files are accepted in every form everywhere, sniffed by
+//! magic number: the diffable v1 text format, the binary `.sddb` store and
+//! a `.sddm` shard set.
 //! `--out` picks the output format from the extension (`.sddb` → binary,
 //! anything else → text, streamed record-by-record) and `-o` remains the
 //! text-only spelling older scripts use. With `--shards K` the dictionary
@@ -482,7 +483,7 @@ fn cmd_diagnose(args: &[String]) -> Result<(), String> {
         exp.view().inputs().len(),
         "test pattern",
     )?;
-    // Sniffed by magic number: binary .sddb and v1 text both load here.
+    // Any artifact loads here: v1 text, a whole .sddb or a .sddm shard set.
     let dictionary = same_different::store::load_same_different(dict_path.ok_or("missing --dict")?)
         .map_err(|e| e.to_string())?;
     let observed = load_patterns(

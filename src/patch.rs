@@ -11,19 +11,19 @@
 //!    changed drivers can reach, consulting both circuits' cones, plus
 //!    every output whose observed net differs between the two views (a
 //!    moved flip-flop data net).
-//! 2. **Lockstep pass** ([`EcoDelta::lockstep`]) — the dirty faults under
-//!    **all** tests, each 64-test block loaded into an old-circuit and a
-//!    new-circuit engine and every dirty fault run on both. Word operations
-//!    on the two engines' output-diff words give the *touched tests* (the
-//!    fault-free response or a dirty fault's diff set moved) and each
-//!    dirty fault's old "differs from the stored baseline" bits, which
-//!    cross-check the artifact: a stale or mismatched dictionary is a typed
-//!    error, not a silent corruption. Nothing is interned here.
-//! 3. **Touched columns** ([`EcoPass::touched_columns`](sdd_sim::EcoPass::touched_columns))
-//!    — **all** faults under only the touched tests on the new circuit,
-//!    interned once in fault order: dirty faults from the new diff words
-//!    the pass kept, clean faults from one new-circuit run over the blocks
-//!    that hold touched tests. Response-class interning is per test, so
+//! 2. **Lockstep pass** ([`EcoDelta::lockstep`]) — one pass over the
+//!    64-test blocks. Per block, an old-circuit and a new-circuit engine
+//!    load the same patterns and every dirty fault runs on both. Word
+//!    operations on the two engines' output-diff words give the *touched
+//!    tests* (the fault-free response or a dirty fault's diff set moved)
+//!    and each dirty fault's old "differs from the stored baseline" bits,
+//!    which cross-check the artifact: a stale or mismatched dictionary is
+//!    a typed error, not a silent corruption.
+//! 3. **Touched columns** ([`EcoPass::columns`](sdd_sim::EcoPass::columns))
+//!    — in the same pass, a block that holds a touched test runs the clean
+//!    faults once on new-circuit engines, and **all** faults' columns
+//!    under its touched tests are interned there, in fault order; no diff
+//!    word outlives its block. Response-class interning is per test, so
 //!    these columns are exactly the columns a full rebuild would produce.
 //! 4. **Baseline refresh** — touched tests get a [`Budget`]-bounded
 //!    Procedure 2 pass ([`sdd_core::refresh_baselines_budgeted`]) whose
@@ -55,15 +55,15 @@ use sdd_core::{refresh_baselines_budgeted, Budget, SameDifferentDictionary};
 use sdd_logic::{BitVec, SddError};
 use sdd_netlist::{Circuit, NetId};
 use sdd_sim::{EcoCircuits, EcoDelta, Partition, ResponseMatrix};
-use sdd_store::{DictionaryKind, PatchStats, ShardedReader, StoredDictionary};
+use sdd_store::{PatchStats, StoredDictionary};
 
 use crate::Experiment;
 
 /// Tuning knobs for [`patch_dictionary`].
 #[derive(Debug, Clone)]
 pub struct PatchOptions {
-    /// Worker threads for the lockstep pass over the dirty faults and for
-    /// the clean faults' touched-column runs (output is identical for every
+    /// Worker threads for the lockstep pass's dirty-fault runs and its
+    /// clean faults' touched-column runs (output is identical for every
     /// value).
     pub jobs: usize,
     /// Budget for the touched-test baseline refresh (Procedure 2 passes).
@@ -112,41 +112,6 @@ pub struct PatchReport {
     /// What the commit rewrote; all zero when no test was touched, since
     /// nothing is committed then.
     pub stats: PatchStats,
-}
-
-/// Reads the same/different dictionary out of an artifact: a whole file is
-/// its one shard, and a sharded `.sddm` set is reassembled in global fault
-/// order.
-fn load_artifact(path: &Path) -> Result<SameDifferentDictionary, SddError> {
-    let mut reader = ShardedReader::open(path)?;
-    let manifest = reader.manifest();
-    if manifest.kind != DictionaryKind::SameDifferent {
-        return Err(SddError::invalid(format!(
-            "expected a same-different dictionary, found a {} dictionary",
-            manifest.kind.name()
-        )));
-    }
-    let outputs = manifest.outputs;
-    let mut parsed = reader.take_parsed();
-    let mut load =
-        |index: usize| match parsed.take().map_or_else(|| reader.load_shard(index), Ok)? {
-            StoredDictionary::SameDifferent(shard) => Ok(shard),
-            _ => Err(SddError::invalid(format!(
-                "shard {index}: kind disagrees with the manifest"
-            ))),
-        };
-    // One shard is the dictionary itself: no reassembly.
-    let first = load(0)?;
-    if reader.shard_count() == 1 {
-        return Ok(first);
-    }
-    // Each shard's rows are moved, not copied, so one copy of the
-    // signatures is live however many shards there are.
-    let (mut signatures, baselines, classes) = first.into_parts();
-    for index in 1..reader.shard_count() {
-        signatures.extend(load(index)?.into_parts().0);
-    }
-    SameDifferentDictionary::from_parts(signatures, baselines, classes, outputs)
 }
 
 /// `dictionary` with each touched test's column, baseline class and
@@ -243,7 +208,7 @@ pub fn patch_dictionary(
     let faults = old_exp.faults();
     let (n, k, m) = (faults.len(), tests.len(), old_exp.view().outputs().len());
 
-    let dictionary = load_artifact(artifact)?;
+    let dictionary = sdd_store::load_same_different(artifact)?;
     if dictionary.fault_count() != n {
         return Err(SddError::CountMismatch {
             context: "artifact fault count",
@@ -286,7 +251,8 @@ pub fn patch_dictionary(
 
     // One lockstep pass of the dirty faults over both circuits finds the
     // touched tests and each dirty fault's old "differs from the stored
-    // baseline" row.
+    // baseline" row, and interns all faults × touched tests on the new
+    // circuit: exactly the rebuilt dictionary's columns.
     let eco = EcoCircuits {
         old,
         old_view: old_exp.view(),
@@ -323,9 +289,7 @@ pub fn patch_dictionary(
         return Ok(report);
     }
 
-    // All faults × touched tests on the new circuit: exactly the rebuilt
-    // dictionary's columns.
-    let matrix = pass.touched_columns(&eco, tests, options.jobs);
+    let matrix = pass.columns();
 
     // Inherited baselines: the class whose new response equals the stored
     // baseline vector, falling back to the fault-free class when the ECO
@@ -346,7 +310,7 @@ pub fn patch_dictionary(
     let mut fixed = Partition::unit(n);
     let touched_set: Vec<bool> = {
         let mut set = vec![false; k];
-        for &t in &touched {
+        for &t in touched {
             set[t] = true;
         }
         set
@@ -354,7 +318,7 @@ pub fn patch_dictionary(
     for test in (0..k).filter(|&t| !touched_set[t]) {
         fixed.refine_bits(|fault| dictionary.signature(fault).bit(test));
     }
-    let outcome = refresh_baselines_budgeted(&matrix, &fixed, &mut baselines, &options.budget);
+    let outcome = refresh_baselines_budgeted(matrix, &fixed, &mut baselines, &options.budget);
     report.indistinguished_pairs = Some(outcome.indistinguished_pairs);
     report.refresh_passes = outcome.passes;
     report.refresh_completed = outcome.completed;
@@ -362,7 +326,7 @@ pub fn patch_dictionary(
     // The stored dictionary with the touched columns and baselines replaced,
     // committed file by file.
     let (patched, bits_flipped, baseline_changes) =
-        replace_columns(dictionary, &touched, &matrix, &baselines)?;
+        replace_columns(dictionary, touched, matrix, &baselines)?;
     report.bits_flipped = bits_flipped;
     report.baseline_changes = baseline_changes;
     report.stats = sdd_store::commit_patch(artifact, &StoredDictionary::SameDifferent(patched))?;
@@ -452,7 +416,7 @@ mod tests {
         // class labels, valid because untouched columns are invariant),
         // touched baselines as the patch refreshed them.
         let new_matrix = Experiment::new(new.clone()).simulate(&tests);
-        let patched = load_artifact(&path).unwrap();
+        let patched = sdd_store::load_same_different(&path).unwrap();
         let rebuilt = SameDifferentDictionary::build(&new_matrix, patched.baseline_classes());
         assert_eq!(patched, rebuilt);
         assert_eq!(
@@ -477,7 +441,7 @@ mod tests {
             ),
             (report.touched_tests, bits, baselines)
         );
-        assert_eq!(load_artifact(&sharded).unwrap(), patched);
+        assert_eq!(sdd_store::load_same_different(&sharded).unwrap(), patched);
         let patched_bytes = std::fs::read(&path).unwrap();
         let rebuilt_bytes = sdd_store::encode(&StoredDictionary::SameDifferent(rebuilt)).unwrap();
         assert_eq!(
@@ -625,7 +589,7 @@ mod tests {
             // either circuit are dirty.
             assert_eq!(report.dirty_outputs, 2, "seed {seed}");
             assert_eq!(report.dirty_faults, 24, "seed {seed}");
-            let patched = load_artifact(&path).unwrap();
+            let patched = sdd_store::load_same_different(&path).unwrap();
             let rebuilt = SameDifferentDictionary::build(&new_matrix, patched.baseline_classes());
             assert_eq!(patched, rebuilt, "seed {seed}");
         }

@@ -117,6 +117,63 @@ fn full_flow_generate_atpg_dictionary_inject_diagnose() {
 }
 
 #[test]
+fn diagnose_reads_a_shard_set_as_its_whole_file() {
+    let dir = workdir("diagnose-shards");
+    let run = |args: &[&str]| {
+        let out = sdd(&dir, args);
+        assert!(
+            out.status.success(),
+            "sdd {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    run(&["generate", "s298", "--seed", "1", "-o", "c.bench"]);
+    run(&["atpg", "c.bench", "--ttype", "diag", "-o", "tests.txt"]);
+    let build = [
+        "dictionary",
+        "c.bench",
+        "--tests",
+        "tests.txt",
+        "--calls1",
+        "2",
+    ];
+    run(&[&build[..], &["--out", "dict.sddb"]].concat());
+    run(&[&build[..], &["--shards", "2", "--out", "dict.sddm"]].concat());
+    run(&[
+        "inject",
+        "c.bench",
+        "--tests",
+        "tests.txt",
+        "--fault",
+        "7",
+        "-o",
+        "obs.txt",
+    ]);
+    let diagnose = |dict: &str| {
+        run(&[
+            "diagnose",
+            "c.bench",
+            "--tests",
+            "tests.txt",
+            "--dict",
+            dict,
+            "--observed",
+            "obs.txt",
+        ])
+        .stdout
+    };
+    let whole = diagnose("dict.sddb");
+    assert!(String::from_utf8_lossy(&whole).contains("candidate"));
+    assert_eq!(
+        diagnose("dict.sddm"),
+        whole,
+        "the shard set diagnoses otherwise"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     let dir = workdir("errors");
 
